@@ -31,7 +31,7 @@ from .edesign import (
 from .fileio import ProblemFileError, load_problem, save_problem, write_result
 from .generators import random_lp
 from .hsd import Iterate, ProblemData, Residuals, SingularSystemError
-from .linalg import DimensionMismatch, NotPDError, SparseMatrix
+from .linalg import DimensionMismatch, SparseMatrix
 from .solver import (
     IterationRecord,
     LineSearchError,
@@ -58,7 +58,6 @@ __all__ = [
     "Iterate",
     "LineSearchError",
     "NonnegativeBarrier",
-    "NotPDError",
     "PowerBarrier",
     "ProblemData",
     "ProblemFileError",

@@ -21,15 +21,8 @@ import sys
 
 import numpy as np
 
-from .barriers import (
-    ExponentialBarrier,
-    NonnegativeBarrier,
-    PowerBarrier,
-    SecondOrderBarrier,
-    fd_check,
-    free_embedding,
-)
-from .cones import ConeSpec, ConeSpecError, solve_cones
+from .barriers import NonnegativeBarrier, fd_check
+from .cones import ConeSpec, ConeSpecError, block_oracle, solve_cones
 from .edesign import build_edesign, random_design_matrix
 from .fileio import ProblemFileError, load_problem, save_problem, write_result
 from .generators import random_lp
@@ -149,17 +142,17 @@ def _cmd_edesign(args) -> int:
     return _emit_result(result, args)
 
 
+_CHECK_DIMS = {"lp": 5, "socp": 4, "free": 3}
+
+
 def _barrier_for_check(args):
-    if args.cone == "lp":
-        return NonnegativeBarrier(args.dim or 5)
-    if args.cone == "socp":
-        return SecondOrderBarrier(args.dim or 4)
-    if args.cone == "exp":
-        return ExponentialBarrier()
-    if args.cone == "free":
-        return free_embedding(args.dim or 3)
-    lam = args.lam if args.lam is not None else [0.5, 0.5]
-    return PowerBarrier(lam)
+    """Built-in barrier from the flags, with ConeSpec's validation."""
+    dim, lam = args.dim, args.lam
+    if args.cone == "gpow":
+        lam = (0.5, 0.5) if lam is None else lam
+    elif dim is None:
+        dim = _CHECK_DIMS.get(args.cone)
+    return block_oracle(ConeSpec(args.cone, dim, lam))
 
 
 def _sample_near_start(oracle, rng):

@@ -32,6 +32,7 @@ __all__ = [
     "ConeSpecError",
     "ConeSpec",
     "ConeProduct",
+    "block_oracle",
     "build_cones",
     "default_x0",
     "embed_point",
@@ -90,7 +91,8 @@ class ConeSpec:
         object.__setattr__(self, "dim", int(self.dim))
 
 
-def _block_oracle(spec: ConeSpec) -> Barrier:
+def block_oracle(spec: ConeSpec) -> Barrier:
+    """The barrier of one cone block (a free block gets its Lorentz embedding)."""
     if spec.type == "free":
         return free_embedding(spec.dim)
     if spec.type == "lp":
@@ -131,7 +133,7 @@ def build_cones(specs) -> ConeProduct:
     dummies: list[int] = []
     internal = 0
     for spec in specs:
-        factors.append(_block_oracle(spec))
+        factors.append(block_oracle(spec))
         if spec.type == "free":
             dummies.append(internal)
             internal += 1
@@ -203,15 +205,6 @@ def lift(prob: ProblemData, cp: ConeProduct) -> ProblemData:
     return ProblemData(A_int, prob.b, c_int)
 
 
-def _as_sparse(A) -> SparseMatrix:
-    if isinstance(A, SparseMatrix):
-        return A
-    if hasattr(A, "tocoo"):  # scipy sparse
-        coo = A.tocoo()
-        return SparseMatrix(coo.shape[0], coo.shape[1], coo.row, coo.col, coo.data)
-    return SparseMatrix.from_dense(np.asarray(A, dtype=np.float64))
-
-
 def solve_cones(
     c, A, b, cones, x0=None, options: SolverOptions | None = None
 ) -> SolverResult:
@@ -222,12 +215,7 @@ def solve_cones(
     free-block dummies never leave this function.
     """
     cp = build_cones(cones)
-    prob = ProblemData(_as_sparse(A), b, c)
-    if prob.n != cp.ambient_dim:
-        raise DimensionMismatch(
-            f"A has {prob.n} columns but the cone list spans {cp.ambient_dim}"
-        )
-    lifted = lift(prob, cp)
+    lifted = lift(ProblemData(A, b, c), cp)
     start = default_x0(cp) if x0 is None else embed_point(cp, x0)
     result = solve(lifted, cp.oracle, start, options)
     if cp.dummy_positions:

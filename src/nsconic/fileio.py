@@ -143,8 +143,7 @@ def load_problem(path):
 
 def save_problem(path, c, A, b, cones, x0=None):
     """Write a problem file; the exact inverse of load_problem."""
-    if not isinstance(A, SparseMatrix):
-        A = SparseMatrix.from_dense(np.asarray(A, dtype=np.float64))
+    A = SparseMatrix.coerce(A)
     rows, cols, vals = A.triplets()
     doc = {
         "c": list(np.asarray(c, dtype=np.float64)),

@@ -52,8 +52,7 @@ class ProblemData:
     c: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.A, SparseMatrix):
-            self.A = SparseMatrix.from_dense(np.asarray(self.A, dtype=np.float64))
+        self.A = SparseMatrix.coerce(self.A)
         self.b = np.asarray(self.b, dtype=np.float64).ravel()
         self.c = np.asarray(self.c, dtype=np.float64).ravel()
         m, n = self.A.shape
@@ -198,35 +197,34 @@ def newton_solve(
         # (mu H)^{-1} v from the oracle factor
         return solve_lower_t(L, solve_lower(L, v)) / mu
 
-    u = hinv(c)
-    w_vec = b - A.matvec(u)
-    half_c = solve_lower(L, c) / np.sqrt(mu)  # B^{-1/2} c
-    if m > 0:
-        At = A.toarray().T
-        W = solve_lower(L, At)
-        N = (W.T @ W) / mu
-        LN = try_chol(N)
+    lc = solve_lower(L, c)
+    u = solve_lower_t(L, lc) / mu  # (mu H)^{-1} c
+    half_c = lc / np.sqrt(mu)  # B^{-1/2} c
+    Au = A.matvec(u)
+    w_vec = b - Au
+    W = solve_lower(L, A.toarray().T)
+    N = (W.T @ W) / mu
+    LN = try_chol(N)
+    if LN is None:
+        t = float(np.trace(N)) / m
+        shift = 1e-12 * (t if t > 0.0 else 1.0)
+        LN = try_chol(N + shift * np.eye(m))
         if LN is None:
-            t = float(np.trace(N)) / m
-            shift = 1e-12 * (t if t > 0.0 else 1.0)
-            LN = try_chol(N + shift * np.eye(m))
-            if LN is None:
-                raise SingularSystemError(
-                    "reduced normal-equations matrix is not positive definite"
-                )
-        q_vec = A.matvec(u) + b
-        v2 = solve_lower_t(LN, solve_lower(LN, q_vec))
-        # the bordering scalar is b'N^{-1}b + ||(I - P) B^{-1/2}c||^2 + gamma,
-        # a sum of squares; evaluating it in that form avoids the massive
-        # cancellation the naive w'v2 + c'u + gamma suffers at small mu
-        half_b = solve_lower(LN, b)
-        vc = solve_lower_t(LN, solve_lower(LN, A.matvec(u)))
-        resid_c = half_c - (W @ vc) / np.sqrt(mu)
-        den = float(half_b @ half_b + resid_c @ resid_c + gamma)
-    else:
-        LN = None
-        v2 = np.zeros(0)
-        den = float(half_c @ half_c + gamma)
+            raise SingularSystemError(
+                "reduced normal-equations matrix is not positive definite"
+            )
+
+    def ninv(v):
+        # N^{-1} v from its factor
+        return solve_lower_t(LN, solve_lower(LN, v))
+
+    v2 = ninv(Au + b)
+    # the bordering scalar is b'N^{-1}b + ||(I - P) B^{-1/2}c||^2 + gamma,
+    # a sum of squares; evaluating it in that form avoids the massive
+    # cancellation the naive w'v2 + c'u + gamma suffers at small mu
+    half_b = solve_lower(LN, b)
+    resid_c = half_c - (W @ ninv(Au)) / np.sqrt(mu)
+    den = float(half_b @ half_b + resid_c @ resid_c + gamma)
     if not np.isfinite(den) or den <= 0.0:
         raise SingularSystemError("tau bordering lost positive definiteness")
 
@@ -235,10 +233,7 @@ def newton_solve(
         hr = hinv(r24)
         g1 = r1 - A.matvec(hr)
         g2 = r3 + r5 + float(c @ hr)
-        if m > 0:
-            v1 = solve_lower_t(LN, solve_lower(LN, g1))
-        else:
-            v1 = np.zeros(0)
+        v1 = ninv(g1)
         dtau = (g2 - float(w_vec @ v1)) / den
         dy = v1 + dtau * v2
         dx = hinv(r24 + A.matvec(dy, transpose=True) - c * dtau)

@@ -8,9 +8,7 @@ from scipy.linalg import solve_triangular
 
 __all__ = [
     "DimensionMismatch",
-    "NotPDError",
     "SparseMatrix",
-    "chol_spd",
     "try_chol",
     "solve_lower",
     "solve_lower_t",
@@ -19,10 +17,6 @@ __all__ = [
 
 class DimensionMismatch(ValueError):
     """Operand shapes are inconsistent."""
-
-
-class NotPDError(ArithmeticError):
-    """Matrix is not numerically positive definite."""
 
 
 class SparseMatrix:
@@ -51,6 +45,17 @@ class SparseMatrix:
         csc = sps.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)).tocsc()
         csc.sum_duplicates()
         self._csc = csc
+
+    @classmethod
+    def coerce(cls, A) -> "SparseMatrix":
+        """Return A as a SparseMatrix: kept as is, or converted from scipy
+        sparse or dense input."""
+        if isinstance(A, cls):
+            return A
+        if sps.issparse(A):
+            coo = A.tocoo()
+            return cls(coo.shape[0], coo.shape[1], coo.row, coo.col, coo.data)
+        return cls.from_dense(A)
 
     @classmethod
     def from_dense(cls, arr) -> "SparseMatrix":
@@ -107,24 +112,13 @@ def _as_square(mat) -> np.ndarray:
     return a
 
 
-def chol_spd(mat) -> np.ndarray:
-    """Lower Cholesky factor L with L @ L.T == mat.
-
-    Only the lower triangle of ``mat`` is referenced. Raises NotPDError when
-    the factorization breaks down (a pivot fails to be positive) and
-    ValueError on non-finite input.
-    """
-    a = _as_square(mat)
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains non-finite entries")
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPDError(str(exc)) from None
-
-
 def try_chol(mat) -> np.ndarray | None:
-    """Like chol_spd, but failure is a value: None when not numerically PD."""
+    """Lower Cholesky factor L with L @ L.T == mat, or None when mat is not
+    numerically positive definite or has non-finite entries.
+
+    Only the lower triangle of ``mat`` is referenced; a non-square ``mat``
+    raises DimensionMismatch.
+    """
     a = _as_square(mat)
     if not np.isfinite(a).all():
         return None

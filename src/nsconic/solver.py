@@ -2,10 +2,15 @@
 
 One iteration is a predictor step (aim at the solution, long line search
 inside a wide proximity ball) followed by damped corrector steps that pull
-the iterate back into a tight neighborhood of the central path. The
-embedding makes infeasibility detection a byproduct: tau and kappa race
-each other, and whichever wins determines whether a solution or a Farkas
-certificate is returned.
+the iterate back into a tight neighborhood of the central path. Both make
+the same move, written once in ``_step``: solve the Newton system for a
+right-hand side, cap the step at the tau/kappa boundary, then halve it
+until the trial point is interior and its proximity passes the caller's
+test. The accepted point's oracle result and proximity are carried
+forward, and each iterate's residuals are computed once and shared by the
+convergence test, the predictor and the history record. The embedding makes infeasibility
+detection a byproduct: tau and kappa race each other, and whichever wins
+determines whether a solution or a Farkas certificate is returned.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .barriers import Barrier, BarrierEval, ExteriorPointError
+from .barriers import Barrier, ExteriorPointError
 from .hsd import (
     Direction,
     Iterate,
@@ -63,36 +68,34 @@ class LineSearchError(RuntimeError):
     """A line search or corrector phase could not make progress."""
 
 
+# Step-rule constants. ETA is the central-path proximity kept after
+# correction and PRED_BETA the wider ball the predictor may roam; each line
+# search starts at the boundary cap and shrinks the step by LS_FACTOR.
+ETA = 0.07
+PRED_BETA = 0.5
+MAX_CORR_STEPS = 8
+LS_FACTOR = 0.5
+LS_MAX_STEPS = 60
+INFEAS_TOL = 1e-8
+
+
 @dataclass
 class SolverOptions:
-    """Tuning knobs; the defaults are safe for all built-in cones.
+    """What a caller may set; the step rule itself is fixed (see ETA above).
 
     optim_tol drives both the embedding convergence test and the
-    de-homogenized solution quality; eta is the central-path proximity kept
-    after correction and pred_beta the wider ball the predictor may roam.
+    de-homogenized solution quality.
     """
 
     optim_tol: float = 1e-6
     max_iter: int = 500
     verbose: bool = False
-    eta: float = 0.07
-    pred_beta: float = 0.5
-    max_corr_steps: int = 8
-    ls_factor: float = 0.5
-    ls_max_steps: int = 60
-    infeas_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (0.0 < self.eta < self.pred_beta < 1.0):
-            raise ValueError("need 0 < eta < pred_beta < 1")
         if not (0.0 < self.optim_tol < 1.0):
             raise ValueError("optim_tol must be in (0, 1)")
-        if not (0.0 < self.ls_factor < 1.0):
-            raise ValueError("ls_factor must be in (0, 1)")
-        if self.max_iter < 1 or self.max_corr_steps < 1 or self.ls_max_steps < 1:
-            raise ValueError("iteration counts must be positive")
-        if self.infeas_tol <= 0.0:
-            raise ValueError("infeas_tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be positive")
 
 
 @dataclass(frozen=True)
@@ -155,62 +158,57 @@ def _boundary_cap(z: Iterate, d: Direction) -> float:
     return alpha
 
 
-def _predictor(prob, oracle, z, ev, opts):
-    """Aim at the embedding solution, backtrack into the pred_beta ball."""
+def _step(prob, oracle, z, ev, rhs, accept):
+    """Newton direction for rhs, then backtrack from the boundary cap.
+
+    Returns the first trial point that is interior with a positive gap and
+    whose proximity passes ``accept``, as (point, oracle result, step,
+    proximity); None when LS_MAX_STEPS trials all fail.
+    """
     nu = oracle.nu
-    mu = gap(z, nu)
-    res = residuals(z, prob)
-    rhs = NewtonRhs(-res.primal, -res.dual, -res.gap, -z.s, -z.kappa)
-    d = newton_solve(prob, z, mu, ev, rhs)
+    d = newton_solve(prob, z, gap(z, nu), ev, rhs)
     alpha = _boundary_cap(z, d)
-    for _ in range(opts.ls_max_steps):
+    for _ in range(LS_MAX_STEPS):
         zt = z.step(d, alpha)
         if zt.tau > 0.0 and zt.kappa > 0.0:
             evt = oracle.eval(zt.x, order=3)
-            if evt.in_interior:
-                mut = gap(zt, nu)
-                if mut > 0.0 and proximity(zt, evt, nu) <= opts.pred_beta:
-                    return zt, evt, alpha
-        alpha *= opts.ls_factor
-    raise LineSearchError("predictor line search found no acceptable step")
+            if evt.in_interior and gap(zt, nu) > 0.0:
+                prox = proximity(zt, evt, nu)
+                if accept(prox):
+                    return zt, evt, alpha, prox
+        alpha *= LS_FACTOR
+    return None
 
 
-def _corrector(prob, oracle, z, ev, opts):
-    """Damped centering steps until the iterate is back within eta."""
-    nu = oracle.nu
-    prox = proximity(z, ev, nu)
-    for k in range(opts.max_corr_steps):
-        if prox <= opts.eta:
-            return z, ev, k
-        mu = gap(z, nu)
+def _predictor(prob, oracle, z, ev, res):
+    """Aim at the embedding solution, backtrack into the PRED_BETA ball."""
+    rhs = NewtonRhs(-res.primal, -res.dual, -res.gap, -z.s, -z.kappa)
+    found = _step(prob, oracle, z, ev, rhs, lambda p: p <= PRED_BETA)
+    if found is None:
+        raise LineSearchError("predictor line search found no acceptable step")
+    return found
+
+
+def _corrector(prob, oracle, z, ev, prox):
+    """Damped centering steps until the iterate is back within ETA."""
+    for k in range(MAX_CORR_STEPS):
+        if prox <= ETA:
+            return z, ev, prox, k
+        mu = gap(z, oracle.nu)
         psi_x, psi_k = centrality_residual(z, mu, ev.gradient)
         rhs = NewtonRhs(
             np.zeros(prob.m), np.zeros(prob.n), 0.0, -psi_x, -psi_k
         )
-        d = newton_solve(prob, z, mu, ev, rhs)
-        alpha = _boundary_cap(z, d)
-        improved = False
-        for _ in range(opts.ls_max_steps):
-            zt = z.step(d, alpha)
-            if zt.tau > 0.0 and zt.kappa > 0.0:
-                evt = oracle.eval(zt.x, order=3)
-                if evt.in_interior:
-                    mut = gap(zt, nu)
-                    if mut > 0.0:
-                        proxt = proximity(zt, evt, nu)
-                        if proxt < prox:
-                            z, ev, prox = zt, evt, proxt
-                            improved = True
-                            break
-            alpha *= opts.ls_factor
-        if not improved:
+        found = _step(prob, oracle, z, ev, rhs, lambda p: p < prox)
+        if found is None:
             raise LineSearchError("corrector step stalled")
-    if prox > opts.eta:
+        z, ev, _, prox = found
+    if prox > ETA:
         raise LineSearchError("corrector failed to re-center the iterate")
-    return z, ev, opts.max_corr_steps
+    return z, ev, prox, MAX_CORR_STEPS
 
 
-def _classify(z, prob, nu, mu0, res0_norm, opts):
+def _classify(z, res, prob, nu, mu0, res0_norm, eps):
     """Decide whether the iterate certifies optimality or infeasibility.
 
     The embedding must first have converged relative to the start (both the
@@ -221,12 +219,10 @@ def _classify(z, prob, nu, mu0, res0_norm, opts):
     regardless of problem scaling.
     """
     mu_now = gap(z, nu)
-    res = residuals(z, prob)
-    eps = opts.optim_tol
     if mu_now > eps * mu0 or res.norm() > eps * res0_norm:
         return None
     b, c = prob.b, prob.c
-    if z.kappa < z.tau and z.tau >= opts.infeas_tol * max(1.0, z.kappa):
+    if z.kappa < z.tau and z.tau >= INFEAS_TOL * max(1.0, z.kappa):
         xh = z.x / z.tau
         yh = z.y / z.tau
         sh = z.s / z.tau
@@ -240,10 +236,10 @@ def _classify(z, prob, nu, mu0, res0_norm, opts):
         if max(rp, rd, dgap) <= eps:
             return SolverStatus.OPTIMAL
         return None
-    if z.tau < opts.infeas_tol * z.kappa:
-        if float(b @ z.y) > opts.infeas_tol * max(1.0, np.linalg.norm(z.y)):
+    if z.tau < INFEAS_TOL * z.kappa:
+        if float(b @ z.y) > INFEAS_TOL * max(1.0, np.linalg.norm(z.y)):
             return SolverStatus.PRIMAL_INFEASIBLE
-        if float(c @ z.x) < -opts.infeas_tol * max(1.0, np.linalg.norm(z.x)):
+        if float(c @ z.x) < -INFEAS_TOL * max(1.0, np.linalg.norm(z.x)):
             return SolverStatus.DUAL_INFEASIBLE
     return None
 
@@ -324,7 +320,8 @@ def solve(
         )
     nu = oracle.nu
     mu0 = gap(z, nu)
-    res0_norm = residuals(z, prob).norm()
+    res = residuals(z, prob)
+    res0_norm = res.norm()
     history: list[IterationRecord] = []
     if opts.verbose:
         print(_LOG_HEADER)
@@ -332,15 +329,15 @@ def solve(
     detail = ""
     try:
         for it in range(opts.max_iter + 1):
-            verdict = _classify(z, prob, nu, mu0, res0_norm, opts)
+            verdict = _classify(z, res, prob, nu, mu0, res0_norm, opts.optim_tol)
             if verdict is not None:
                 status = verdict
                 break
             if it == opts.max_iter:
                 status = SolverStatus.ITERATION_LIMIT
                 break
-            z, ev, alpha = _predictor(prob, oracle, z, ev, opts)
-            z, ev, ncorr = _corrector(prob, oracle, z, ev, opts)
+            z, ev, alpha, prox = _predictor(prob, oracle, z, ev, res)
+            z, ev, prox, ncorr = _corrector(prob, oracle, z, ev, prox)
             res = residuals(z, prob)
             rec = IterationRecord(
                 iteration=it + 1,
@@ -350,7 +347,7 @@ def solve(
                 gap_abs=abs(res.gap),
                 step=alpha,
                 corrector_steps=ncorr,
-                prox=proximity(z, ev, nu),
+                prox=prox,
             )
             history.append(rec)
             if opts.verbose:

@@ -170,6 +170,21 @@ def test_check_barrier_rejects_bad_weights(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--cone", "exp", "--dim", "7"],
+        ["--cone", "lp", "--lambda", "0.5", "0.5"],
+    ],
+)
+def test_check_barrier_rejects_flags_the_cone_does_not_take(flags, capsys):
+    # the cone description is validated like a problem file's, not ignored
+    assert main(["check-barrier", *flags]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "nsconic.cli", "check-barrier", "--cone", "exp"],

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from nsconic.cones import ConeSpec, solve_cones
+from nsconic.hsd import ProblemData
 from nsconic.fileio import (
     ProblemFileError,
     load_problem,
@@ -85,6 +87,17 @@ def test_dense_matrix_accepted_by_save(tmp_path):
     )
     _, A, _, _, _ = load_problem(path)
     assert A.toarray() == pytest.approx(np.array([[1.0, 2.0]]))
+
+
+def test_scipy_sparse_matrix_accepted(tmp_path):
+    dense = np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 0.0]])
+    A = sps.csc_array(dense)
+    prob = ProblemData(A, np.array([1.0, 2.0]), np.ones(3))
+    np.testing.assert_array_equal(prob.A.toarray(), dense)
+    path = tmp_path / "sparse.json"
+    save_problem(path, np.ones(3), A, np.array([1.0, 2.0]), [ConeSpec("lp", 3)])
+    _, A2, _, _, _ = load_problem(path)
+    np.testing.assert_array_equal(A2.toarray(), dense)
 
 
 @pytest.mark.parametrize(

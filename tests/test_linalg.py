@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from nsconic.linalg import (
     DimensionMismatch,
-    NotPDError,
     SparseMatrix,
-    chol_spd,
     solve_lower,
     solve_lower_t,
     try_chol,
@@ -13,13 +12,13 @@ from nsconic.linalg import (
 
 
 def test_chol_identity():
-    L = chol_spd(np.eye(4))
+    L = try_chol(np.eye(4))
     np.testing.assert_allclose(L, np.eye(4))
 
 
 def test_chol_2x2_hand_case():
     M = np.array([[4.0, 2.0], [2.0, 3.0]])
-    L = chol_spd(M)
+    L = try_chol(M)
     expected = np.array([[2.0, 0.0], [1.0, np.sqrt(2.0)]])
     np.testing.assert_allclose(L, expected, rtol=1e-15)
     np.testing.assert_allclose(L @ L.T, M, rtol=1e-15)
@@ -27,8 +26,6 @@ def test_chol_2x2_hand_case():
 
 def test_chol_not_pd_raises():
     M = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-    with pytest.raises(NotPDError):
-        chol_spd(M)
     assert try_chol(M) is None
 
 
@@ -39,14 +36,12 @@ def test_chol_zero_matrix_not_pd():
 def test_chol_rejects_nonfinite():
     M = np.eye(2)
     M[0, 1] = M[1, 0] = np.nan
-    with pytest.raises(ValueError):
-        chol_spd(M)
     assert try_chol(M) is None
 
 
 def test_chol_rejects_nonsquare():
     with pytest.raises(DimensionMismatch):
-        chol_spd(np.ones((2, 3)))
+        try_chol(np.ones((2, 3)))
 
 
 def test_chol_random_spd_reconstruction():
@@ -56,7 +51,7 @@ def test_chol_random_spd_reconstruction():
         n = int(rng.integers(1, 51))
         B = rng.standard_normal((n, n))
         M = B.T @ B + np.eye(n)
-        L = chol_spd(M)
+        L = try_chol(M)
         assert np.all(np.triu(L, 1) == 0.0)
         assert np.all(np.diag(L) > 0.0)
         err = np.linalg.norm(L @ L.T - M) / np.linalg.norm(M)
@@ -84,7 +79,7 @@ def test_solve_roundtrip_random():
         n = int(rng.integers(1, 40))
         B = rng.standard_normal((n, n))
         M = B.T @ B + n * np.eye(n)  # comfortably conditioned
-        L = chol_spd(M)
+        L = try_chol(M)
         b = rng.standard_normal(n)
         x = solve_lower_t(L, solve_lower(L, b))
         np.testing.assert_allclose(M @ x, b, rtol=0, atol=1e-8 * np.linalg.norm(b))
@@ -155,3 +150,11 @@ def test_sparse_triplets_roundtrip():
     r, c, v = A.triplets()
     B = SparseMatrix(6, 9, r, c, v)
     np.testing.assert_array_equal(B.toarray(), A.toarray())
+
+
+def test_coerce_accepts_scipy_dense_and_own_type():
+    dense = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, -3.0]])
+    own = SparseMatrix.from_dense(dense)
+    assert SparseMatrix.coerce(own) is own
+    for given in (dense, dense.tolist(), sps.csc_array(dense), sps.coo_matrix(dense)):
+        np.testing.assert_array_equal(SparseMatrix.coerce(given).toarray(), dense)

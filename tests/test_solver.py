@@ -10,6 +10,8 @@ from nsconic.barriers import (
     PullbackBarrier,
     SecondOrderBarrier,
 )
+import nsconic.solver
+from nsconic.generators import random_lp
 from nsconic.hsd import ProblemData, gap, proximity
 from nsconic.linalg import DimensionMismatch
 from nsconic.solver import (
@@ -30,15 +32,9 @@ def lp_problem():
 def test_options_validation():
     SolverOptions()
     with pytest.raises(ValueError):
-        SolverOptions(eta=0.6, pred_beta=0.5)
-    with pytest.raises(ValueError):
         SolverOptions(optim_tol=2.0)
     with pytest.raises(ValueError):
-        SolverOptions(ls_factor=1.0)
-    with pytest.raises(ValueError):
         SolverOptions(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverOptions(infeas_tol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -180,11 +176,12 @@ def test_iteration_limit_status():
     assert res.iterations == 2
 
 
-def test_numerical_error_status_on_impossible_centering():
+def test_numerical_error_status_on_impossible_centering(monkeypatch):
     # an absurdly tight neighborhood with a single corrector step cannot be
     # satisfied; the failure must surface as a status, not an exception
-    opts = SolverOptions(eta=1e-12, pred_beta=0.5, max_corr_steps=1)
-    res = solve(lp_problem(), NonnegativeBarrier(2), options=opts)
+    monkeypatch.setattr(nsconic.solver, "ETA", 1e-12)
+    monkeypatch.setattr(nsconic.solver, "MAX_CORR_STEPS", 1)
+    res = solve(lp_problem(), NonnegativeBarrier(2))
     assert res.status is SolverStatus.NUMERICAL_ERROR
     assert "corrector" in res.status_string
 
@@ -223,3 +220,45 @@ def test_free_variable_lp_through_product():
     res = solve(prob, oracle, options=SolverOptions(optim_tol=1e-8))
     assert res.status is SolverStatus.OPTIMAL
     assert abs(res.p_obj - 1.0) <= 1e-6
+
+
+def _counting(monkeypatch, name, seen):
+    original = getattr(nsconic.solver, name)
+
+    def counted(*args):
+        seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(nsconic.solver, name, counted)
+
+
+@pytest.mark.parametrize("case", ["lp", "random_lp", "primal_infeasible"])
+def test_residuals_computed_once_per_iterate(monkeypatch, case):
+    if case == "lp":
+        prob, oracle, x0 = lp_problem(), NonnegativeBarrier(2), None
+    elif case == "random_lp":
+        prob, x0 = random_lp(30, 80, 0)
+        oracle = NonnegativeBarrier(80)
+    else:
+        prob = ProblemData(
+            np.array([[1.0, 0.0]]), np.array([-1.0]), np.array([1.0, 1.0])
+        )
+        oracle, x0 = NonnegativeBarrier(2), None
+    calls = []
+    _counting(monkeypatch, "residuals", calls)
+    res = solve(prob, oracle, x0)
+    assert res.iterations > 0
+    assert len(calls) <= res.iterations + 2
+
+
+def test_proximity_evaluated_once_per_oracle_result(monkeypatch):
+    calls = []
+    _counting(monkeypatch, "proximity", calls)
+    prob, x_hat = random_lp(30, 80, 0)
+    res = solve(prob, NonnegativeBarrier(80), x_hat)
+    assert res.status is SolverStatus.OPTIMAL
+    # calls holds every oracle result alive, so no id is reused
+    ids = [id(ev) for _, ev, _ in calls]
+    assert len(ids) == len(set(ids))
+    # every iteration accepts a predictor point whose proximity was computed
+    assert len(calls) >= res.iterations
