@@ -31,7 +31,7 @@ from .edesign import (
 from .fileio import ProblemFileError, load_problem, save_problem, write_result
 from .generators import random_lp
 from .hsd import Iterate, ProblemData, Residuals, SingularSystemError
-from .linalg import DimensionMismatch, SparseMatrix
+from .linalg import DenseHessian, DiagonalHessian, DimensionMismatch, SparseMatrix
 from .solver import (
     IterationRecord,
     LineSearchError,
@@ -49,6 +49,8 @@ __all__ = [
     "ConeProduct",
     "ConeSpec",
     "ConeSpecError",
+    "DenseHessian",
+    "DiagonalHessian",
     "DimensionMismatch",
     "EDesignBarrier",
     "ExponentialBarrier",

@@ -1,17 +1,25 @@
 """Logarithmically homogeneous self-concordant barrier oracles.
 
 Each oracle answers membership queries for the interior of a proper cone and,
-on request, returns the barrier value, gradient, Hessian, and a lower
-Cholesky factor of the Hessian at the query point. The solver only ever
-talks to cones through this interface, so adding a cone means adding one
-oracle class.
+on request, returns the barrier value, gradient and Hessian at the query
+point. The solver only ever talks to cones through this interface, so adding
+a cone means adding one oracle class.
+
+The Hessian comes as an object (``DiagonalHessian`` or ``DenseHessian`` from
+``linalg``) that multiplies, solves with H and with its lower Cholesky factor
+L, and forms L^{-1} A' for the Newton solve. A separable barrier returns the
+diagonal kind, whose factor is free and which never builds an n x n array.
+Other oracles return the dense kind, built by ``Barrier._finish``, which
+factors H at order 3; a product with a dense block assembles its H and L
+from the blocks'.
 
 Requested order semantics for ``eval(x, order)``:
 
 * 0: membership only
 * 1: adds value and gradient
 * 2: adds the Hessian
-* 3: adds the Hessian's lower Cholesky factor
+* 3: the Hessian is also factored, so its solves are usable (a diagonal
+  Hessian is factored at order 2 already)
 
 Points on the cone boundary count as exterior; all membership tests use
 strict inequalities. A Hessian whose Cholesky factorization breaks down
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatch, try_chol
+from .linalg import DenseHessian, DiagonalHessian, DimensionMismatch, try_chol
 
 __all__ = [
     "BarrierEval",
@@ -58,8 +66,7 @@ class BarrierEval:
     in_interior: bool
     value: float | None = None
     gradient: np.ndarray | None = None
-    hessian: np.ndarray | None = None
-    cholesky: np.ndarray | None = None
+    hessian: DiagonalHessian | DenseHessian | None = None
 
 
 EXTERIOR = BarrierEval(in_interior=False)
@@ -101,7 +108,7 @@ class Barrier:
         raise NotImplementedError
 
     def _finish(self, order, value, gradient, hessian=None) -> BarrierEval:
-        """Assemble an interior result, factoring the Hessian at order 3."""
+        """Assemble an interior result, factoring the dense Hessian at order 3."""
         if order < 2:
             return BarrierEval(True, value, gradient)
         chol = None
@@ -109,7 +116,7 @@ class Barrier:
             chol = try_chol(hessian)
             if chol is None:
                 return EXTERIOR
-        return BarrierEval(True, value, gradient, hessian, chol)
+        return BarrierEval(True, value, gradient, DenseHessian(hessian, chol))
 
 
 class NonnegativeBarrier(Barrier):
@@ -128,9 +135,7 @@ class NonnegativeBarrier(Barrier):
         gradient = -inv
         if order < 2:
             return BarrierEval(True, value, gradient)
-        hessian = np.diag(inv * inv)
-        chol = np.diag(inv) if order >= 3 else None
-        return BarrierEval(True, value, gradient, hessian, chol)
+        return BarrierEval(True, value, gradient, DiagonalHessian(inv))
 
 
 class SecondOrderBarrier(Barrier):
@@ -270,7 +275,9 @@ class ProductBarrier(Barrier):
 
     Value adds, gradients concatenate, Hessians and Cholesky factors are
     block diagonal, nu adds. The product point is interior exactly when
-    every block is.
+    every block is. When every block's Hessian is diagonal the product's is
+    too (the factor diagonals concatenate); otherwise the block-diagonal H
+    and L are assembled densely.
     """
 
     def __init__(self, factors):
@@ -304,15 +311,19 @@ class ProductBarrier(Barrier):
         gradient = np.concatenate([ev.gradient for ev in evals])
         if order < 2:
             return BarrierEval(True, value, gradient)
+        hs = [ev.hessian for ev in evals]
+        if all(isinstance(h, DiagonalHessian) for h in hs):
+            hess = DiagonalHessian(np.concatenate([h.l for h in hs]))
+            return BarrierEval(True, value, gradient, hess)
         hessian = np.zeros((self.dim, self.dim))
         chol = np.zeros((self.dim, self.dim)) if order >= 3 else None
         o = self._offsets
-        for i, ev in enumerate(evals):
+        for i, h in enumerate(hs):
             sl = slice(o[i], o[i + 1])
-            hessian[sl, sl] = ev.hessian
+            hessian[sl, sl] = h.toarray()
             if order >= 3:
-                chol[sl, sl] = ev.cholesky
-        return BarrierEval(True, value, gradient, hessian, chol)
+                chol[sl, sl] = np.diag(h.l) if isinstance(h, DiagonalHessian) else h.L
+        return BarrierEval(True, value, gradient, DenseHessian(hessian, chol))
 
 
 class PullbackBarrier(Barrier):
@@ -348,7 +359,7 @@ class PullbackBarrier(Barrier):
         gradient = self.mat.T @ ev.gradient
         if order < 2:
             return BarrierEval(True, ev.value, gradient)
-        hessian = self.mat.T @ ev.hessian @ self.mat
+        hessian = self.mat.T @ ev.hessian.toarray() @ self.mat
         return self._finish(order, ev.value, gradient, hessian)
 
 
@@ -396,7 +407,8 @@ def fd_check(oracle: Barrier, x) -> FdCheckReport:
         hess_fd[:, i] = (evp.gradient - evm.gradient) / (2.0 * h)
     gnorm = np.linalg.norm(ev.gradient)
     grad_err = np.linalg.norm(grad_fd - ev.gradient) / max(1.0, gnorm)
-    hess_err = np.linalg.norm(hess_fd - ev.hessian) / max(1.0, np.linalg.norm(ev.hessian))
+    hess = ev.hessian.toarray()
+    hess_err = np.linalg.norm(hess_fd - hess) / max(1.0, np.linalg.norm(hess))
     grad_identity = abs(x @ ev.gradient + oracle.nu) / oracle.nu
     hess_identity = np.linalg.norm(ev.hessian @ x + ev.gradient) / max(1.0, gnorm)
     return FdCheckReport(grad_err, hess_err, grad_identity, hess_identity)

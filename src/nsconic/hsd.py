@@ -7,8 +7,10 @@ The solver works on the self-dual embedding of the conic pair
 whose iterate z = (y, x, tau, s, kappa) lives in R^m x K x R+ x K* x R+.
 The embedding operator is never materialized; all products are formed from
 A directly. Newton systems are reduced to one positive-definite system of
-order m plus a scalar bordering for the tau column, reusing the barrier
-oracle's Cholesky factor of H(x).
+order m plus a scalar bordering for the tau column. The barrier Hessian is
+used only through the oracle's Hessian object (multiply, solve, half-solve
+with its factor L, and L^{-1} A'), so a diagonal Hessian keeps the normal
+matrix build sparse and the dense n x n work happens only for dense cones.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sps
 
 from .barriers import BarrierEval
 from .linalg import DimensionMismatch, SparseMatrix, solve_lower, solve_lower_t, try_chol
@@ -128,12 +131,12 @@ def centrality_residual(z: Iterate, t: float, gradient: np.ndarray):
 def proximity(z: Iterate, ev: BarrierEval, nu: float) -> float:
     """Distance of z from the central path in the local Hessian norm, over mu.
 
-    Computed as sqrt(||w||^2 + (tau kappa - mu)^2) / mu where L w = psi_x
-    for the oracle's Cholesky factor L of H(x).
+    Computed as sqrt(||w||^2 + (tau kappa - mu)^2) / mu where w = L^{-1} psi_x
+    for the factor L of H(x), taken from the oracle's Hessian object.
     """
     mu = gap(z, nu)
     psi_x, _ = centrality_residual(z, mu, ev.gradient)
-    w = solve_lower(ev.cholesky, psi_x)
+    w = ev.hessian.half_solve(psi_x)
     return float(np.sqrt(w @ w + (z.tau * z.kappa - mu) ** 2) / mu)
 
 
@@ -182,28 +185,30 @@ def newton_solve(
 
     ds and dkappa are eliminated through the equality rows, dx through the
     scaled Hessian, leaving an m x m positive-definite system plus a scalar
-    bordering for dtau. The oracle's factor L of H(x) is reused (the factor
-    of mu H is sqrt(mu) L, so no refactorization happens here), and one round
-    of iterative refinement against the full system cleans up the direction.
-    A Cholesky breakdown of the reduced matrix is retried once with a small
-    trace-scaled diagonal shift before giving up.
+    bordering for dtau. The normal matrix is N = W'W / mu with W = L^{-1} A'
+    from the oracle's Hessian object (the factor of mu H is sqrt(mu) L, so no
+    refactorization happens here); W is sparse for a diagonal Hessian, and
+    N is factored densely. One round of iterative refinement against the
+    full system cleans up the direction. A Cholesky breakdown of the reduced
+    matrix is retried once with a small trace-scaled diagonal shift before
+    giving up.
     """
     A, b, c = prob.A, prob.b, prob.c
     m = prob.m
-    L = ev.cholesky
+    H = ev.hessian
     gamma = mu / z.tau**2
 
     def hinv(v):
         # (mu H)^{-1} v from the oracle factor
-        return solve_lower_t(L, solve_lower(L, v)) / mu
+        return H.solve(v) / mu
 
-    lc = solve_lower(L, c)
-    u = solve_lower_t(L, lc) / mu  # (mu H)^{-1} c
-    half_c = lc / np.sqrt(mu)  # B^{-1/2} c
+    u = hinv(c)
+    half_c = H.half_solve(c) / np.sqrt(mu)  # B^{-1/2} c
     Au = A.matvec(u)
     w_vec = b - Au
-    W = solve_lower(L, A.toarray().T)
-    N = (W.T @ W) / mu
+    W = H.half_solve_t(A)
+    WtW = W.T @ W
+    N = (WtW.toarray() if sps.issparse(WtW) else WtW) / mu
     LN = try_chol(N)
     if LN is None:
         t = float(np.trace(N)) / m
@@ -245,7 +250,7 @@ def newton_solve(
     # one refinement round: rows 2 and 3 are satisfied by construction, so
     # only the primal and complementarity rows carry residual
     rho1 = rhs.r1 - (A.matvec(d.dx) - b * d.dtau)
-    rho4 = rhs.r4 - (d.ds + mu * (ev.hessian @ d.dx))
+    rho4 = rhs.r4 - (d.ds + mu * (H @ d.dx))
     rho5 = rhs.r5 - (d.dkappa + gamma * d.dtau)
     corr = reduced(rho1, np.zeros(prob.n), 0.0, rho4, rho5)
     return d + corr

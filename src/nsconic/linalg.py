@@ -1,4 +1,10 @@
-"""Dense and sparse linear-algebra kernels for barrier oracles and Newton systems."""
+"""Dense and sparse linear-algebra kernels for barrier oracles and Newton systems.
+
+Barrier Hessians are handed to the Newton solve as objects, not arrays, so a
+structured Hessian keeps its structure: ``DiagonalHessian`` for separable
+barriers such as the orthant's, ``DenseHessian`` for everything else. Both
+answer the same five operations with H = L L' for the factor L.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +18,8 @@ __all__ = [
     "try_chol",
     "solve_lower",
     "solve_lower_t",
+    "DiagonalHessian",
+    "DenseHessian",
 ]
 
 
@@ -96,6 +104,19 @@ class SparseMatrix:
     def toarray(self) -> np.ndarray:
         return self._csc.toarray()
 
+    def scaled_transpose(self, d) -> sps.csr_matrix:
+        """diag(d) A' as a scipy CSR matrix, built without densifying A.
+
+        Row j of A' is column j of A, so the CSC arrays of A are the CSR
+        arrays of A' and only the values need scaling.
+        """
+        d = np.asarray(d, dtype=np.float64)
+        if d.shape != (self.ncols,):
+            raise DimensionMismatch(f"scaling has shape {d.shape}, expected ({self.ncols},)")
+        csc = self._csc
+        data = csc.data * np.repeat(d, np.diff(csc.indptr))
+        return sps.csr_matrix((data, csc.indices, csc.indptr), shape=(self.ncols, self.nrows))
+
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Canonical (rows, cols, vals) with duplicates already summed."""
         coo = self._csc.tocoo()
@@ -152,3 +173,65 @@ def solve_lower_t(fac, rhs) -> np.ndarray:
     if L.shape[0] == 0:
         return b.copy()
     return solve_triangular(L, b, lower=True, trans="T", check_finite=False)
+
+
+class DiagonalHessian:
+    """H = diag(l**2) with factor L = diag(l), for separable barriers.
+
+    Every operation is elementwise, and ``half_solve_t`` keeps A sparse, so
+    no n x n array is ever formed.
+    """
+
+    def __init__(self, l):
+        self.l = np.asarray(l, dtype=np.float64)
+
+    def __matmul__(self, v) -> np.ndarray:
+        return (self.l * self.l) * v
+
+    def half_solve(self, v) -> np.ndarray:
+        """L^{-1} v."""
+        return v / self.l
+
+    def solve(self, v) -> np.ndarray:
+        """H^{-1} v."""
+        return v / self.l / self.l
+
+    def half_solve_t(self, A: SparseMatrix) -> sps.csr_matrix:
+        """L^{-1} A' as a sparse n x m matrix."""
+        return A.scaled_transpose(1.0 / self.l)
+
+    def toarray(self) -> np.ndarray:
+        return np.diag(self.l * self.l)
+
+
+class DenseHessian:
+    """A dense Hessian H with its lower Cholesky factor L, or None when the
+    oracle was not asked to factor (order 2); the solves need L."""
+
+    def __init__(self, H, L=None):
+        self.H = H
+        self.L = L
+
+    def _factor(self) -> np.ndarray:
+        if self.L is None:
+            raise ValueError("the Hessian was not factored; evaluate at order 3")
+        return self.L
+
+    def __matmul__(self, v) -> np.ndarray:
+        return self.H @ v
+
+    def half_solve(self, v) -> np.ndarray:
+        """L^{-1} v."""
+        return solve_lower(self._factor(), v)
+
+    def solve(self, v) -> np.ndarray:
+        """H^{-1} v = L'^{-1} L^{-1} v."""
+        L = self._factor()
+        return solve_lower_t(L, solve_lower(L, v))
+
+    def half_solve_t(self, A: SparseMatrix) -> np.ndarray:
+        """L^{-1} A' as a dense n x m array."""
+        return solve_lower(self._factor(), A.toarray().T)
+
+    def toarray(self) -> np.ndarray:
+        return self.H

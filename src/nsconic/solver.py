@@ -8,9 +8,12 @@ right-hand side, cap the step at the tau/kappa boundary, then halve it
 until the trial point is interior and its proximity passes the caller's
 test. The accepted point's oracle result and proximity are carried
 forward, and each iterate's residuals are computed once and shared by the
-convergence test, the predictor and the history record. The embedding makes infeasibility
-detection a byproduct: tau and kappa race each other, and whichever wins
-determines whether a solution or a Farkas certificate is returned.
+convergence test, the predictor and the history record. When the
+corrector fails, the predictor point is recorded as the iterate and goes
+through the convergence test; the failure ends the solve only if that
+point certifies nothing. The embedding makes infeasibility detection a
+byproduct: tau and kappa race each other, and whichever wins determines
+whether a solution or a Farkas certificate is returned.
 """
 
 from __future__ import annotations
@@ -327,17 +330,27 @@ def solve(
         print(_LOG_HEADER)
     status = SolverStatus.ITERATION_LIMIT
     detail = ""
+    stalled = None
     try:
         for it in range(opts.max_iter + 1):
             verdict = _classify(z, res, prob, nu, mu0, res0_norm, opts.optim_tol)
             if verdict is not None:
                 status = verdict
                 break
+            if stalled is not None:
+                raise stalled
             if it == opts.max_iter:
                 status = SolverStatus.ITERATION_LIMIT
                 break
             z, ev, alpha, prox = _predictor(prob, oracle, z, ev, res)
-            z, ev, prox, ncorr = _corrector(prob, oracle, z, ev, prox)
+            try:
+                z, ev, prox, ncorr = _corrector(prob, oracle, z, ev, prox)
+            except LineSearchError as exc:
+                # centering can stall near the solution, where the predictor
+                # point may already certify: record that point and let the
+                # next _classify decide; if it certifies nothing, the failure
+                # is re-raised there
+                stalled, ncorr = exc, 0
             res = residuals(z, prob)
             rec = IterationRecord(
                 iteration=it + 1,

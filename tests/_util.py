@@ -81,7 +81,7 @@ def dense_newton_reference(prob, z, mu, ev, rhs: NewtonRhs):
     """Assemble and solve the full embedding Newton system densely."""
     m, n = prob.m, prob.n
     A = prob.A.toarray()
-    H = ev.hessian
+    H = ev.hessian.toarray()
     size = m + 2 * n + 2
     iy = slice(0, m)
     ix = slice(m, m + n)

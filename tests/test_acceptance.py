@@ -133,8 +133,8 @@ def test_criterion_1_barrier_identities():
                 )
                 r_grad = np.linalg.norm(t * ev_t.gradient - ev.gradient) / gnorm
                 r_hess = np.linalg.norm(
-                    t * t * ev_t.hessian - ev.hessian
-                ) / np.linalg.norm(ev.hessian)
+                    t * t * ev_t.hessian.toarray() - ev.hessian.toarray()
+                ) / np.linalg.norm(ev.hessian.toarray())
                 assert r_val <= 1e-9, name
                 assert r_grad <= 1e-9, name
                 assert r_hess <= 1e-9, name

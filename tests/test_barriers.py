@@ -12,7 +12,7 @@ from nsconic.barriers import (
     fd_check,
     free_embedding,
 )
-from nsconic.linalg import DimensionMismatch
+from nsconic.linalg import DenseHessian, DiagonalHessian, DimensionMismatch
 
 # interior samplers keep points comfortably away from the boundary so that
 # finite-difference probes stay interior
@@ -97,14 +97,14 @@ def test_nonneg_hand_values():
     assert ev.in_interior
     assert ev.value == 0.0
     np.testing.assert_array_equal(ev.gradient, [-1.0, -1.0, -1.0])
-    np.testing.assert_array_equal(ev.hessian, np.eye(3))
-    np.testing.assert_array_equal(ev.cholesky, np.eye(3))
+    np.testing.assert_array_equal(ev.hessian.toarray(), np.eye(3))
+    np.testing.assert_array_equal(ev.hessian.half_solve(np.arange(3.0)), np.arange(3.0))
 
     b2 = NonnegativeBarrier(2)
     ev2 = b2.eval(np.array([2.0, 4.0]))
     np.testing.assert_allclose(ev2.value, -np.log(8.0), rtol=1e-15)
     np.testing.assert_allclose(ev2.gradient, [-0.5, -0.25])
-    np.testing.assert_allclose(ev2.hessian, np.diag([0.25, 0.0625]))
+    np.testing.assert_allclose(ev2.hessian.toarray(), np.diag([0.25, 0.0625]))
 
     assert not b2.eval(np.array([1.0, -1.0])).in_interior
     assert not b2.eval(np.array([1.0, 0.0])).in_interior  # boundary is exterior
@@ -115,7 +115,7 @@ def test_soc_hand_values():
     ev = b.eval(np.array([1.0, 0.0, 0.0]))
     assert ev.value == 0.0
     np.testing.assert_allclose(ev.gradient, [-2.0, 0.0, 0.0])
-    np.testing.assert_allclose(ev.hessian, 2.0 * np.eye(3))
+    np.testing.assert_allclose(ev.hessian.toarray(), 2.0 * np.eye(3))
     assert not b.eval(np.array([1.0, 1.0, 0.0])).in_interior
     assert not b.eval(np.array([-2.0, 1.0, 0.0])).in_interior
 
@@ -145,7 +145,7 @@ def test_gpow_hand_values():
     ev = b.eval(np.array([1.0, 1.0, 0.0]))
     assert ev.value == 0.0
     np.testing.assert_allclose(ev.gradient, [-1.5, -1.5, 0.0])
-    np.testing.assert_allclose(ev.hessian, np.diag([1.5, 1.5, 2.0]))
+    np.testing.assert_allclose(ev.hessian.toarray(), np.diag([1.5, 1.5, 2.0]))
 
     b2 = PowerBarrier([0.25, 0.75])
     ev2 = b2.eval(np.array([1.0, 1.0, 0.0]))
@@ -190,19 +190,21 @@ def test_order_gating_fields():
     ev1 = b.eval(x, order=1)
     assert ev1.gradient is not None and ev1.hessian is None
     ev2 = b.eval(x, order=2)
-    assert ev2.hessian is not None and ev2.cholesky is None
+    assert ev2.hessian is not None
+    with pytest.raises(ValueError, match="not factored"):
+        ev2.hessian.half_solve(x)
     ev3 = b.eval(x, order=3)
-    assert ev3.cholesky is not None
-    np.testing.assert_allclose(
-        ev3.cholesky @ ev3.cholesky.T, ev3.hessian, atol=1e-12
-    )
+    # the factor reproduces the Hessian: L^{-1} H = L', so L L' = H
+    H = ev3.hessian.toarray()
+    Lt = np.column_stack([ev3.hessian.half_solve(col) for col in H.T])
+    np.testing.assert_allclose(Lt.T @ Lt, H, atol=1e-12)
 
 
 def test_exterior_has_no_fields():
     ev = NonnegativeBarrier(2).eval(np.array([1.0, -1.0]), order=3)
     assert not ev.in_interior
     assert ev.value is None and ev.gradient is None
-    assert ev.hessian is None and ev.cholesky is None
+    assert ev.hessian is None
 
 
 def test_nonfinite_point_is_exterior():
@@ -230,6 +232,7 @@ def test_homogeneity_identities(name, oracle, sampler):
         # Euler identities for logarithmically homogeneous barriers
         assert abs(x @ ev.gradient + nu) <= 1e-8 * nu
         gnorm = np.linalg.norm(ev.gradient)
+        H = ev.hessian.toarray()
         assert np.linalg.norm(ev.hessian @ x + ev.gradient) <= 1e-7 * max(1.0, gnorm)
         # value/gradient/Hessian scaling under x -> t x
         for t in (0.5, 2.0, 10.0):
@@ -238,12 +241,11 @@ def test_homogeneity_identities(name, oracle, sampler):
             expected = ev.value - nu * np.log(t)
             assert abs(evt.value - expected) <= 1e-9 * max(1.0, abs(expected))
             np.testing.assert_allclose(evt.gradient, ev.gradient / t, rtol=1e-9)
-            np.testing.assert_allclose(evt.hessian, ev.hessian / t**2, rtol=1e-8)
-        # Cholesky reproduces the Hessian
-        rec = ev.cholesky @ ev.cholesky.T
-        assert np.linalg.norm(rec - ev.hessian) <= 1e-10 * max(
-            1.0, np.linalg.norm(ev.hessian)
-        )
+            np.testing.assert_allclose(evt.hessian.toarray(), H / t**2, rtol=1e-8)
+        # the factor reproduces the Hessian: L^{-1} H = L', so L L' = H
+        Lt = np.column_stack([ev.hessian.half_solve(col) for col in H.T])
+        rec = Lt.T @ Lt
+        assert np.linalg.norm(rec - H) <= 1e-10 * max(1.0, np.linalg.norm(H))
 
 
 @pytest.mark.parametrize("name,oracle,sampler", oracle_cases())
@@ -290,8 +292,8 @@ def test_product_single_factor_identity():
     ev_i = inner.eval(x)
     assert ev_p.value == ev_i.value
     np.testing.assert_array_equal(ev_p.gradient, ev_i.gradient)
-    np.testing.assert_array_equal(ev_p.hessian, ev_i.hessian)
-    np.testing.assert_array_equal(ev_p.cholesky, ev_i.cholesky)
+    np.testing.assert_array_equal(ev_p.hessian.toarray(), ev_i.hessian.toarray())
+    np.testing.assert_array_equal(ev_p.hessian.half_solve(x), ev_i.hessian.half_solve(x))
 
 
 def test_product_concatenation():
@@ -306,12 +308,34 @@ def test_product_concatenation():
     np.testing.assert_allclose(ev.value, ev_lp.value + ev_soc.value, rtol=1e-15)
     np.testing.assert_array_equal(ev.gradient[:2], ev_lp.gradient)
     np.testing.assert_array_equal(ev.gradient[2:], ev_soc.gradient)
-    assert np.all(ev.hessian[:2, 2:] == 0.0)
-    np.testing.assert_array_equal(ev.hessian[2:, 2:], ev_soc.hessian)
+    H = ev.hessian.toarray()
+    assert np.all(H[:2, 2:] == 0.0)
+    np.testing.assert_array_equal(H[2:, 2:], ev_soc.hessian.toarray())
     # one exterior block poisons the whole product
     bad = x.copy()
     bad[0] = -1.0
     assert not prod.eval(bad).in_interior
+
+
+def test_product_hessian_kind_follows_its_factors():
+    x = np.array([1.0, 2.0, 3.0, 1.0, -1.0])
+    lp_only = ProductBarrier([NonnegativeBarrier(2), NonnegativeBarrier(3)])
+    mixed = ProductBarrier([NonnegativeBarrier(2), SecondOrderBarrier(3)])
+    for order in (2, 3):
+        ev = lp_only.eval(np.abs(x), order=order)
+        assert isinstance(ev.hessian, DiagonalHessian)
+        np.testing.assert_allclose(ev.hessian.toarray(), np.diag(1.0 / x**2), rtol=1e-15)
+        assert isinstance(mixed.eval(x, order=order).hessian, DenseHessian)
+    # the mixed product's factor is the block-diagonal one of its factors
+    ev = mixed.eval(x, order=3)
+    v = np.arange(1.0, 6.0)
+    expected = np.concatenate(
+        [
+            NonnegativeBarrier(2).eval(x[:2]).hessian.half_solve(v[:2]),
+            SecondOrderBarrier(3).eval(x[2:]).hessian.half_solve(v[2:]),
+        ]
+    )
+    np.testing.assert_array_equal(ev.hessian.half_solve(v), expected)
 
 
 def test_product_initial_point_concatenates():
@@ -330,7 +354,7 @@ def test_pullback_identity_map():
     ev_i = inner.eval(x)
     assert ev.value == ev_i.value
     np.testing.assert_array_equal(ev.gradient, ev_i.gradient)
-    np.testing.assert_allclose(ev.hessian, ev_i.hessian)
+    np.testing.assert_allclose(ev.hessian.toarray(), ev_i.hessian.toarray())
 
 
 def test_pullback_diagonal_scaling_hand_case():
@@ -340,7 +364,7 @@ def test_pullback_diagonal_scaling_hand_case():
     ev = pb.eval(np.array([1.0, 1.0]))
     np.testing.assert_allclose(ev.value, -np.log(6.0), rtol=1e-15)
     np.testing.assert_allclose(ev.gradient, [-1.0, -1.0])
-    np.testing.assert_allclose(ev.hessian, np.eye(2))
+    np.testing.assert_allclose(ev.hessian.toarray(), np.eye(2))
 
 
 def test_pullback_tall_map_slice_of_soc():

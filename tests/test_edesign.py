@@ -38,7 +38,7 @@ def test_barrier_hand_values_identity_design():
             [-1.0 / 0.81, 0.0, 1.0 / 0.81 + 1.0],
         ]
     )
-    assert ev.hessian == pytest.approx(expected_h, abs=1e-13)
+    assert ev.hessian.toarray() == pytest.approx(expected_h, abs=1e-13)
 
 
 def test_barrier_boundary_and_exterior():

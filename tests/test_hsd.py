@@ -9,7 +9,7 @@ from _util import (
     sample_block,
 )
 
-from nsconic.barriers import NonnegativeBarrier
+from nsconic.barriers import NonnegativeBarrier, ProductBarrier
 from nsconic.hsd import (
     Iterate,
     NewtonRhs,
@@ -20,7 +20,7 @@ from nsconic.hsd import (
     proximity,
     residuals,
 )
-from nsconic.linalg import DimensionMismatch, SparseMatrix
+from nsconic.linalg import DiagonalHessian, DimensionMismatch, SparseMatrix
 
 
 def predictor_rhs(z, prob):
@@ -109,7 +109,7 @@ def test_proximity_matches_dense_reference():
         psi_x, _ = centrality_residual(z, mu, ev.gradient)
         expected = (
             np.sqrt(
-                psi_x @ np.linalg.solve(ev.hessian, psi_x)
+                psi_x @ np.linalg.solve(ev.hessian.toarray(), psi_x)
                 + (z.tau * z.kappa - mu) ** 2
             )
             / mu
@@ -265,3 +265,69 @@ def test_newton_redundant_rows_survive_via_regularization():
     ev = oracle.eval(z.x, order=3)
     d = newton_solve(prob, z, gap(z, oracle.nu), ev, predictor_rhs(z, prob))
     assert np.isfinite(direction_as_vector(d)).all()
+
+
+# diagonal Hessians take the sparse path through newton_solve and proximity;
+# the random mixed cones above mostly exercise the dense one
+
+DIAGONAL_ORACLES = [
+    NonnegativeBarrier(14),
+    ProductBarrier([NonnegativeBarrier(5), NonnegativeBarrier(1), NonnegativeBarrier(8)]),
+]
+
+
+def sparse_problem(n, m, rng):
+    """Random problem whose A is ~30% dense plus an identity block."""
+    A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.3)
+    A[:, :m] += np.eye(m)
+    return ProblemData(A, rng.standard_normal(m), rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("oracle", DIAGONAL_ORACLES, ids=["nonneg", "lp_product"])
+def test_newton_on_diagonal_hessian_matches_dense_reference(oracle):
+    rng = np.random.default_rng(10)
+    for trial in range(10):
+        m = int(rng.integers(1, 8))
+        prob = sparse_problem(oracle.dim, m, rng)
+        z = random_state(prob, oracle, rng)
+        ev = oracle.eval(z.x, order=3)
+        assert isinstance(ev.hessian, DiagonalHessian)
+        mu = gap(z, oracle.nu)
+        rhs = NewtonRhs(
+            rng.standard_normal(m),
+            rng.standard_normal(prob.n),
+            float(rng.standard_normal()),
+            rng.standard_normal(prob.n),
+            float(rng.standard_normal()),
+        )
+        d = direction_as_vector(newton_solve(prob, z, mu, ev, rhs))
+        ref = np.concatenate(
+            [np.atleast_1d(part) for part in dense_newton_reference(prob, z, mu, ev, rhs)]
+        )
+        assert np.linalg.norm(d - ref) / max(1.0, np.linalg.norm(ref)) <= 1e-8
+        # the predictor direction contracts the residuals linearly
+        res = residuals(z, prob)
+        pred = newton_solve(prob, z, mu, ev, predictor_rhs(z, prob))
+        scale = max(1.0, res.norm())
+        for alpha in (0.25, 0.75):
+            res_a = residuals(z.step(pred, alpha), prob)
+            err = max(
+                np.linalg.norm(res_a.primal - (1 - alpha) * res.primal),
+                np.linalg.norm(res_a.dual - (1 - alpha) * res.dual),
+                abs(res_a.gap - (1 - alpha) * res.gap),
+            )
+            assert err <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("oracle", DIAGONAL_ORACLES, ids=["nonneg", "lp_product"])
+def test_proximity_on_diagonal_hessian_matches_dense_reference(oracle):
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        prob = sparse_problem(oracle.dim, 3, rng)
+        z = random_state(prob, oracle, rng)
+        ev = oracle.eval(z.x, order=3)
+        mu = gap(z, oracle.nu)
+        psi_x, _ = centrality_residual(z, mu, ev.gradient)
+        H = ev.hessian.toarray()
+        expected = np.sqrt(psi_x @ np.linalg.solve(H, psi_x) + (z.tau * z.kappa - mu) ** 2) / mu
+        np.testing.assert_allclose(proximity(z, ev, oracle.nu), expected, rtol=1e-9)

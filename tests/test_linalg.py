@@ -3,6 +3,8 @@ import pytest
 import scipy.sparse as sps
 
 from nsconic.linalg import (
+    DenseHessian,
+    DiagonalHessian,
     DimensionMismatch,
     SparseMatrix,
     solve_lower,
@@ -158,3 +160,55 @@ def test_coerce_accepts_scipy_dense_and_own_type():
     assert SparseMatrix.coerce(own) is own
     for given in (dense, dense.tolist(), sps.csc_array(dense), sps.coo_matrix(dense)):
         np.testing.assert_array_equal(SparseMatrix.coerce(given).toarray(), dense)
+
+
+def test_scaled_transpose_matches_dense():
+    rng = np.random.default_rng(13)
+    dense = rng.standard_normal((4, 6)) * (rng.random((4, 6)) < 0.5)
+    A = SparseMatrix.from_dense(dense)
+    d = rng.uniform(0.5, 2.0, 6)
+    W = A.scaled_transpose(d)
+    assert sps.issparse(W) and W.shape == (6, 4)
+    np.testing.assert_array_equal(W.toarray(), d[:, None] * dense.T)
+    with pytest.raises(DimensionMismatch):
+        A.scaled_transpose(np.ones(4))
+
+
+def _hessian(kind, rng, n):
+    """A Hessian object of the given kind with its dense factor L."""
+    if kind == "diagonal":
+        l = rng.uniform(0.5, 2.0, n)
+        return DiagonalHessian(l), np.diag(l)
+    B = rng.standard_normal((n, n))
+    L = np.linalg.cholesky(B @ B.T + n * np.eye(n))
+    return DenseHessian(L @ L.T, L), L
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_hessian_operations_agree_with_the_array(kind):
+    rng = np.random.default_rng(14)
+    n, m = 7, 3
+    hess, L = _hessian(kind, rng, n)
+    H = hess.toarray()
+    np.testing.assert_allclose(H, L @ L.T, rtol=1e-14)
+    v = rng.standard_normal(n)
+    np.testing.assert_allclose(hess @ v, H @ v, rtol=1e-12)
+    np.testing.assert_allclose(hess.solve(v), np.linalg.solve(H, v), rtol=1e-10)
+    np.testing.assert_allclose(hess.half_solve(v), np.linalg.solve(L, v), rtol=1e-10)
+    dense = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.5)
+    W = hess.half_solve_t(SparseMatrix.from_dense(dense))
+    # the diagonal kind keeps A sparse, the dense kind cannot
+    assert sps.issparse(W) == (kind == "diagonal")
+    W = W.toarray() if sps.issparse(W) else W
+    np.testing.assert_allclose(W, np.linalg.solve(L, dense.T), rtol=1e-10, atol=1e-14)
+
+
+def test_unfactored_dense_hessian_refuses_solves():
+    H = np.array([[2.0, 1.0], [1.0, 2.0]])
+    hess = DenseHessian(H)
+    np.testing.assert_array_equal(hess @ np.ones(2), [3.0, 3.0])
+    for solve in (hess.solve, hess.half_solve):
+        with pytest.raises(ValueError, match="not factored"):
+            solve(np.ones(2))
+    with pytest.raises(ValueError, match="not factored"):
+        hess.half_solve_t(SparseMatrix.from_dense(np.ones((1, 2))))

@@ -11,10 +11,12 @@ from nsconic.barriers import (
     SecondOrderBarrier,
 )
 import nsconic.solver
+from nsconic.cones import ConeSpec, solve_cones
 from nsconic.generators import random_lp
 from nsconic.hsd import ProblemData, gap, proximity
-from nsconic.linalg import DimensionMismatch
+from nsconic.linalg import DimensionMismatch, SparseMatrix
 from nsconic.solver import (
+    LineSearchError,
     SolverOptions,
     SolverStatus,
     initial_iterate,
@@ -262,3 +264,51 @@ def test_proximity_evaluated_once_per_oracle_result(monkeypatch):
     assert len(ids) == len(set(ids))
     # every iteration accepts a predictor point whose proximity was computed
     assert len(calls) >= res.iterations
+
+
+def _corrector_failing_at(monkeypatch, call):
+    """Make the call-th corrector phase of the next solves raise."""
+    real = nsconic.solver._corrector
+    count = [0]
+
+    def failing(*args):
+        count[0] += 1
+        if count[0] == call:
+            raise LineSearchError("corrector step stalled")
+        return real(*args)
+
+    monkeypatch.setattr(nsconic.solver, "_corrector", failing)
+
+
+def test_corrector_failure_at_a_certifying_point_keeps_the_status(monkeypatch):
+    # the last predictor step already lands on a point that certifies
+    # optimality; a corrector failure there must not discard it
+    clean = solve(lp_problem(), NonnegativeBarrier(2))
+    _corrector_failing_at(monkeypatch, clean.iterations)
+    res = solve(lp_problem(), NonnegativeBarrier(2))
+    assert res.status is SolverStatus.OPTIMAL
+    assert res.iterations == clean.iterations == len(res.history)
+    assert res.history[-1].corrector_steps == 0
+    assert abs(res.p_obj - 2.0) <= 1e-5
+
+
+def test_corrector_failure_short_of_certification_is_an_error(monkeypatch):
+    clean = solve(lp_problem(), NonnegativeBarrier(2))
+    _corrector_failing_at(monkeypatch, clean.iterations - 1)
+    res = solve(lp_problem(), NonnegativeBarrier(2))
+    assert res.status is SolverStatus.NUMERICAL_ERROR
+    assert "corrector step stalled" in res.status_string
+
+
+def test_lp_solves_never_densify_A(monkeypatch):
+    # the diagonal LP Hessian keeps the normal-matrix build sparse
+    def densify(self):
+        raise AssertionError("A was densified")
+
+    monkeypatch.setattr(SparseMatrix, "toarray", densify)
+    prob, x_hat = random_lp(30, 80, 0)
+    res = solve(prob, NonnegativeBarrier(80), x_hat)
+    assert res.status is SolverStatus.OPTIMAL
+    cones = [ConeSpec("lp", 30), ConeSpec("lp", 50)]
+    res = solve_cones(prob.c, prob.A, prob.b, cones)
+    assert res.status is SolverStatus.OPTIMAL
