@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sps
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 __all__ = [
     "DimensionMismatch",
@@ -135,18 +135,19 @@ def _as_square(mat) -> np.ndarray:
 
 def try_chol(mat) -> np.ndarray | None:
     """Lower Cholesky factor L with L @ L.T == mat, or None when mat is not
-    numerically positive definite or has non-finite entries.
+    numerically positive definite or has any non-finite entry.
 
-    Only the lower triangle of ``mat`` is referenced; a non-square ``mat``
-    raises DimensionMismatch.
+    The factorization is LAPACK ``potrf`` on the lower triangle, so the strict
+    upper triangle of ``mat`` only enters the finiteness check. ``mat`` is
+    never modified, the strict upper triangle of L is exactly zero, and a
+    0 x 0 ``mat`` gives a 0 x 0 L. A non-square ``mat`` raises
+    DimensionMismatch.
     """
     a = _as_square(mat)
     if not np.isfinite(a).all():
         return None
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return None
+    L, info = lapack.dpotrf(a, lower=1, clean=1)
+    return L if info == 0 else None
 
 
 def _check_trsv(fac, rhs):

@@ -185,3 +185,48 @@ def test_solver_beats_grid_oracle():
     t_star = -result.p_obj
     assert t_star >= best_grid - 1e-9
     assert t_star - best_grid <= 2e-3
+
+
+def _reference_oracle(V, v):
+    """Value, gradient and Hessian from the plain inverse of M, and the
+    condition number kappa of M relative to the data it is formed from."""
+    t, x = v[0], v[1:]
+    n, p = V.shape
+    VxV = (V * x) @ V.T
+    M = VxV - t * np.eye(n)
+    Minv = np.linalg.inv(M)
+    S = V.T @ Minv @ V
+    value = -np.linalg.slogdet(M)[1] - np.log(x).sum()
+    gradient = np.concatenate([[np.trace(Minv)], -np.diag(S) - 1.0 / x])
+    hessian = np.empty((1 + p, 1 + p))
+    hessian[0, 0] = np.trace(Minv @ Minv)
+    hessian[0, 1:] = hessian[1:, 0] = -np.einsum("ij,ij->j", V, Minv @ Minv @ V)
+    hessian[1:, 1:] = S * S + np.diag(1.0 / x**2)
+    kappa = (np.linalg.norm(VxV, 2) + abs(t)) * np.linalg.norm(Minv, 2)
+    return value, gradient, hessian, kappa
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (3, 6), (8, 20), (30, 60)])
+def test_barrier_matches_inverse_formulas(n, p):
+    # interior points and near-boundary ones, t = (1 - 1e-6) lambda_min, where
+    # M is nearly singular; forming M - t I loses about log10(kappa) digits
+    rng = np.random.default_rng(100 + n)
+    V = rng.standard_normal((n, p))
+    barrier = EDesignBarrier(V)
+    for frac in (None, None, None, 1.0 - 1e-6, 1.0 - 1e-6):
+        x = rng.uniform(0.2, 2.0, p)
+        lam = smallest_eigenvalue((V * x) @ V.T)
+        t = (rng.uniform(-1.0, 0.9) if frac is None else frac) * lam
+        v = np.concatenate([[t], x])
+        ev = barrier.eval(v, order=3)
+        assert ev.in_interior
+        value, gradient, hessian, kappa = _reference_oracle(V, v)
+        tol = 100.0 * np.finfo(float).eps * kappa
+        assert abs(ev.value - value) <= tol * max(1.0, abs(value))
+        assert np.linalg.norm(ev.gradient - gradient) <= tol * np.linalg.norm(gradient)
+        H = ev.hessian.toarray()
+        assert np.linalg.norm(H - hessian) <= tol * np.linalg.norm(hessian)
+        np.testing.assert_array_equal(H, H.T)
+        ev1 = barrier.eval(v, order=1)
+        assert ev1.value == ev.value
+        np.testing.assert_array_equal(ev1.gradient, ev.gradient)

@@ -60,6 +60,34 @@ def test_chol_random_spd_reconstruction():
         assert err <= 1e-12
 
 
+def test_chol_ignores_a_finite_upper_triangle():
+    M = np.array([[4.0, 2.0], [2.0, 3.0]])
+    garbage = M.copy()
+    garbage[0, 1] = -1e3
+    np.testing.assert_array_equal(try_chol(garbage), try_chol(M))
+
+
+def test_chol_empty_matrix():
+    L = try_chol(np.zeros((0, 0)))
+    assert L is not None and L.shape == (0, 0)
+
+
+def test_chol_contract_on_random_spd():
+    # the input is left as it was, C and Fortran order agree, and the strict
+    # upper triangle of L is exactly zero (a product copies L into its factor)
+    rng = np.random.default_rng(2)
+    for n in (1, 3, 17, 64):
+        B = rng.standard_normal((n, n))
+        M = B @ B.T + np.eye(n)
+        F = np.asfortranarray(M)
+        before = M.copy()
+        L = try_chol(M)
+        np.testing.assert_array_equal(try_chol(F), L)
+        np.testing.assert_array_equal(M, before)
+        np.testing.assert_array_equal(F, before)
+        assert np.all(np.triu(L, 1) == 0.0)
+
+
 def test_solve_lower_hand_case():
     L = np.array([[2.0, 0.0], [1.0, np.sqrt(2.0)]])
     w = solve_lower(L, np.array([2.0, 4.0]))
