@@ -5,21 +5,15 @@ on request, returns the barrier value, gradient and Hessian at the query
 point. The solver only ever talks to cones through this interface, so adding
 a cone means adding one oracle class.
 
-The Hessian comes as an object (``DiagonalHessian`` or ``DenseHessian`` from
+``eval(x, order)`` answers one of two requests. Order 0 asks for membership
+only. Any higher order asks for everything: the value, the gradient and the
+factored Hessian, an object (``DiagonalHessian`` or ``DenseHessian`` from
 ``linalg``) that multiplies, solves with H and with its lower Cholesky factor
 L, and forms L^{-1} A' for the Newton solve. A separable barrier returns the
 diagonal kind, whose factor is free and which never builds an n x n array.
 Other oracles return the dense kind, built by ``Barrier._finish``, which
-factors H at order 3; a product with a dense block assembles its H and L
-from the blocks'.
-
-Requested order semantics for ``eval(x, order)``:
-
-* 0: membership only
-* 1: adds value and gradient
-* 2: adds the Hessian
-* 3: the Hessian is also factored, so its solves are usable (a diagonal
-  Hessian is factored at order 2 already)
+factors H; a product with a dense block assembles its H and L from the
+blocks'.
 
 Points on the cone boundary count as exterior; all membership tests use
 strict inequalities. A Hessian whose Cholesky factorization breaks down
@@ -59,8 +53,10 @@ class ExteriorPointError(ValueError):
 class BarrierEval:
     """Result of a barrier oracle query.
 
-    Fields beyond the requested order are None. When ``in_interior`` is
-    False all other fields are None regardless of the requested order.
+    An order-0 query sets only ``in_interior``. Any higher order sets every
+    field of an interior point, with ``hessian`` factored. When
+    ``in_interior`` is False all other fields are None regardless of the
+    requested order.
     """
 
     in_interior: bool
@@ -73,7 +69,7 @@ EXTERIOR = BarrierEval(in_interior=False)
 
 
 class Barrier:
-    """Base class wiring shape validation and order gating for oracles."""
+    """Base class wiring shape validation and Hessian factoring for oracles."""
 
     dim: int
     nu: float
@@ -107,15 +103,11 @@ class Barrier:
     def _evaluate(self, x: np.ndarray, order: int) -> BarrierEval:
         raise NotImplementedError
 
-    def _finish(self, order, value, gradient, hessian=None) -> BarrierEval:
-        """Assemble an interior result, factoring the dense Hessian at order 3."""
-        if order < 2:
-            return BarrierEval(True, value, gradient)
-        chol = None
-        if order >= 3:
-            chol = try_chol(hessian)
-            if chol is None:
-                return EXTERIOR
+    def _finish(self, value, gradient, hessian) -> BarrierEval:
+        """Assemble an interior result, factoring the dense Hessian."""
+        chol = try_chol(hessian)
+        if chol is None:
+            return EXTERIOR
         return BarrierEval(True, value, gradient, DenseHessian(hessian, chol))
 
 
@@ -133,8 +125,6 @@ class NonnegativeBarrier(Barrier):
         inv = 1.0 / x
         value = -np.log(x).sum()
         gradient = -inv
-        if order < 2:
-            return BarrierEval(True, value, gradient)
         return BarrierEval(True, value, gradient, DiagonalHessian(inv))
 
 
@@ -156,13 +146,11 @@ class SecondOrderBarrier(Barrier):
             return BarrierEval(True)
         value = -np.log(residual)
         gradient = (-2.0 / residual) * jx
-        if order < 2:
-            return BarrierEval(True, value, gradient)
         hessian = (4.0 / residual**2) * np.outer(jx, jx)
         d = np.full(self.dim, 2.0 / residual)
         d[0] *= -1.0
         hessian[np.diag_indices(self.dim)] += d
-        return self._finish(order, value, gradient, hessian)
+        return self._finish(value, gradient, hessian)
 
 
 class ExponentialBarrier(Barrier):
@@ -187,8 +175,6 @@ class ExponentialBarrier(Barrier):
         value = -np.log(residual) - np.log(x1) - np.log(x2)
         dr = np.array([x2 / x1, ratio - 1.0, -1.0])
         gradient = -dr / residual - np.array([1.0 / x1, 1.0 / x2, 0.0])
-        if order < 2:
-            return BarrierEval(True, value, gradient)
         d2r = np.array(
             [
                 [-x2 / x1**2, 1.0 / x1, 0.0],
@@ -201,7 +187,7 @@ class ExponentialBarrier(Barrier):
             - d2r / residual
             + np.diag([1.0 / x1**2, 1.0 / x2**2, 0.0])
         )
-        return self._finish(order, value, gradient, hessian)
+        return self._finish(value, gradient, hessian)
 
 
 class PowerBarrier(Barrier):
@@ -242,8 +228,6 @@ class PowerBarrier(Barrier):
         gradient = np.empty(self.dim)
         gradient[:-1] = -dp / residual - (1.0 - w) / x
         gradient[-1] = 2.0 * z / residual
-        if order < 2:
-            return BarrierEval(True, value, gradient)
         hessian = np.empty((self.dim, self.dim))
         hxx = np.outer(dp, dp) * (z * z / (power * residual**2))
         hxx[np.diag_indices(w.size)] += (
@@ -254,7 +238,7 @@ class PowerBarrier(Barrier):
         hessian[:-1, -1] = hxz
         hessian[-1, :-1] = hxz
         hessian[-1, -1] = 2.0 / residual + 4.0 * z * z / residual**2
-        return self._finish(order, value, gradient, hessian)
+        return self._finish(value, gradient, hessian)
 
 
 def free_embedding(dim: int) -> SecondOrderBarrier:
@@ -309,20 +293,17 @@ class ProductBarrier(Barrier):
             return BarrierEval(True)
         value = sum(ev.value for ev in evals)
         gradient = np.concatenate([ev.gradient for ev in evals])
-        if order < 2:
-            return BarrierEval(True, value, gradient)
         hs = [ev.hessian for ev in evals]
         if all(isinstance(h, DiagonalHessian) for h in hs):
             hess = DiagonalHessian(np.concatenate([h.l for h in hs]))
             return BarrierEval(True, value, gradient, hess)
         hessian = np.zeros((self.dim, self.dim))
-        chol = np.zeros((self.dim, self.dim)) if order >= 3 else None
+        chol = np.zeros((self.dim, self.dim))
         o = self._offsets
         for i, h in enumerate(hs):
             sl = slice(o[i], o[i + 1])
             hessian[sl, sl] = h.toarray()
-            if order >= 3:
-                chol[sl, sl] = np.diag(h.l) if isinstance(h, DiagonalHessian) else h.L
+            chol[sl, sl] = np.diag(h.l) if isinstance(h, DiagonalHessian) else h.L
         return BarrierEval(True, value, gradient, DenseHessian(hessian, chol))
 
 
@@ -351,16 +332,14 @@ class PullbackBarrier(Barrier):
 
     def _evaluate(self, x, order):
         y = self.mat @ x
-        ev = self.inner.eval(y, order if order < 2 else 2)
+        ev = self.inner.eval(y, order)
         if not ev.in_interior:
             return EXTERIOR
         if order < 1:
             return BarrierEval(True)
         gradient = self.mat.T @ ev.gradient
-        if order < 2:
-            return BarrierEval(True, ev.value, gradient)
         hessian = self.mat.T @ ev.hessian.toarray() @ self.mat
-        return self._finish(order, ev.value, gradient, hessian)
+        return self._finish(ev.value, gradient, hessian)
 
 
 @dataclass(frozen=True)
@@ -384,10 +363,12 @@ def fd_check(oracle: Barrier, x) -> FdCheckReport:
     gradient. The report also carries the two homogeneity identities
     |x'g + nu| / nu and ||H x + g|| / max(1, ||g||).
 
-    Raises ExteriorPointError if x or any probe point leaves the interior.
+    Every evaluation is a full one, so x and every probe point must also have
+    a Hessian that factors. Raises ExteriorPointError if x or any probe point
+    leaves the interior or has a Hessian that does not factor.
     """
     x = np.asarray(x, dtype=np.float64)
-    ev = oracle.eval(x, order=2)
+    ev = oracle.eval(x)
     if not ev.in_interior:
         raise ExteriorPointError("fd_check requires a strictly interior point")
     n = oracle.dim
@@ -399,8 +380,8 @@ def fd_check(oracle: Barrier, x) -> FdCheckReport:
         xm = x.copy()
         xp[i] += h
         xm[i] -= h
-        evp = oracle.eval(xp, order=1)
-        evm = oracle.eval(xm, order=1)
+        evp = oracle.eval(xp)
+        evm = oracle.eval(xm)
         if not (evp.in_interior and evm.in_interior):
             raise ExteriorPointError(f"probe along coordinate {i} left the interior")
         grad_fd[i] = (evp.value - evm.value) / (2.0 * h)

@@ -220,6 +220,6 @@ def solve_cones(
     result = solve(lifted, cp.oracle, start, options)
     if cp.dummy_positions:
         # dummies carry zero cost, so objectives are unaffected by the strip
-        result.x = result.x[cp.ambient_to_internal]
-        result.s = result.s[cp.ambient_to_internal]
+        result.x = strip_point(cp, result.x)
+        result.s = strip_point(cp, result.s)
     return result

@@ -44,8 +44,8 @@ class EDesignBarrier(Barrier):
     factor L by potrf (n^3/3), and, if the point is exterior, nothing more.
     An interior point adds L^{-1} by trtri (n^3/3), W = L^{-1} V and
     M^{-1} V = L^{-T} W as two gemms (2 n^2 p each), and S = W'W and
-    M^{-1} = L^{-T} L^{-1} as two syrks (n p^2 and n^3); order 3 then
-    factors the (1+p) x (1+p) Hessian ((1+p)^3/3) in ``Barrier._finish``.
+    M^{-1} = L^{-T} L^{-1} as two syrks (n p^2 and n^3); ``Barrier._finish``
+    then factors the (1+p) x (1+p) Hessian ((1+p)^3/3).
     """
 
     def __init__(self, V):
@@ -81,8 +81,6 @@ class EDesignBarrier(Barrier):
         gradient = np.empty(1 + p)
         gradient[0] = (Li * Li).sum()  # trace of M^{-1}
         gradient[1:] = -(W * W).sum(axis=0) - 1.0 / x
-        if order < 2:
-            return BarrierEval(True, value, gradient)
         # numpy runs W.T @ W as a syrk, so S and the Hessian are exactly symmetric
         S = W.T @ W  # S[i, j] = v_i' M^{-1} v_j
         Minv = Li.T @ Li
@@ -95,7 +93,7 @@ class EDesignBarrier(Barrier):
         hxx = hessian[1:, 1:]
         np.multiply(S, S, out=hxx)
         hxx[np.diag_indices(p)] += 1.0 / (x * x)
-        return self._finish(order, value, gradient, hessian)
+        return self._finish(value, gradient, hessian)
 
 
 def build_edesign(V):

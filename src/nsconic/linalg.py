@@ -206,33 +206,26 @@ class DiagonalHessian:
 
 
 class DenseHessian:
-    """A dense Hessian H with its lower Cholesky factor L, or None when the
-    oracle was not asked to factor (order 2); the solves need L."""
+    """A dense Hessian H with its lower Cholesky factor L."""
 
-    def __init__(self, H, L=None):
+    def __init__(self, H, L):
         self.H = H
         self.L = L
-
-    def _factor(self) -> np.ndarray:
-        if self.L is None:
-            raise ValueError("the Hessian was not factored; evaluate at order 3")
-        return self.L
 
     def __matmul__(self, v) -> np.ndarray:
         return self.H @ v
 
     def half_solve(self, v) -> np.ndarray:
         """L^{-1} v."""
-        return solve_lower(self._factor(), v)
+        return solve_lower(self.L, v)
 
     def solve(self, v) -> np.ndarray:
         """H^{-1} v = L'^{-1} L^{-1} v."""
-        L = self._factor()
-        return solve_lower_t(L, solve_lower(L, v))
+        return solve_lower_t(self.L, solve_lower(self.L, v))
 
     def half_solve_t(self, A: SparseMatrix) -> np.ndarray:
         """L^{-1} A' as a dense n x m array."""
-        return solve_lower(self._factor(), A.toarray().T)
+        return solve_lower(self.L, A.toarray().T)
 
     def toarray(self) -> np.ndarray:
         return self.H

@@ -136,6 +136,11 @@ def initial_iterate(prob: ProblemData, oracle: Barrier, x0=None) -> Iterate:
     By the homogeneity identity x0's0 = nu, so the initial complementarity
     gap is exactly 1 and the point sits on the central path.
     """
+    return _start(prob, oracle, x0)[0]
+
+
+def _start(prob, oracle, x0):
+    """The initial iterate with the oracle result at its x, from one evaluation."""
     if oracle.dim != prob.n:
         raise DimensionMismatch(
             f"oracle dimension {oracle.dim} does not match n = {prob.n}"
@@ -145,10 +150,10 @@ def initial_iterate(prob: ProblemData, oracle: Barrier, x0=None) -> Iterate:
         if x0 is None:
             raise ValueError("oracle has no canonical initial point; pass x0")
     x0 = np.asarray(x0, dtype=np.float64)
-    ev = oracle.eval(x0, order=1)
+    ev = oracle.eval(x0, order=3)
     if not ev.in_interior:
         raise ExteriorPointError("initial point is not strictly interior")
-    return Iterate(np.zeros(prob.m), x0.copy(), 1.0, -ev.gradient, 1.0)
+    return Iterate(np.zeros(prob.m), x0.copy(), 1.0, -ev.gradient, 1.0), ev
 
 
 def _boundary_cap(z: Iterate, d: Direction) -> float:
@@ -315,12 +320,7 @@ def solve(
     """
     opts = options if options is not None else SolverOptions()
     t0 = time.perf_counter()
-    z = initial_iterate(prob, oracle, x0)
-    ev = oracle.eval(z.x, order=3)
-    if not ev.in_interior:
-        raise ExteriorPointError(
-            "Hessian factorization failed at the initial point"
-        )
+    z, ev = _start(prob, oracle, x0)
     nu = oracle.nu
     mu0 = gap(z, nu)
     res = residuals(z, prob)

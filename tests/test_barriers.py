@@ -12,6 +12,7 @@ from nsconic.barriers import (
     fd_check,
     free_embedding,
 )
+from nsconic.edesign import EDesignBarrier
 from nsconic.linalg import DenseHessian, DiagonalHessian, DimensionMismatch
 
 # interior samplers keep points comfortably away from the boundary so that
@@ -179,25 +180,34 @@ def test_free_embedding_shape():
     assert b.eval(v, order=0).in_interior
 
 
-# ------------------------------------------------------------ order gating
+# ------------------------------------------------------ membership or everything
 
 
-def test_order_gating_fields():
-    b = SecondOrderBarrier(3)
-    x = np.array([2.0, 0.5, -0.5])
-    ev0 = b.eval(x, order=0)
-    assert ev0.in_interior and ev0.value is None and ev0.gradient is None
-    ev1 = b.eval(x, order=1)
-    assert ev1.gradient is not None and ev1.hessian is None
-    ev2 = b.eval(x, order=2)
-    assert ev2.hessian is not None
-    with pytest.raises(ValueError, match="not factored"):
-        ev2.hessian.half_solve(x)
-    ev3 = b.eval(x, order=3)
-    # the factor reproduces the Hessian: L^{-1} H = L', so L L' = H
-    H = ev3.hessian.toarray()
-    Lt = np.column_stack([ev3.hessian.half_solve(col) for col in H.T])
-    np.testing.assert_allclose(Lt.T @ Lt, H, atol=1e-12)
+def edesign_case():
+    V = np.random.default_rng(3).standard_normal((3, 6))
+
+    def sampler(r):
+        x = r.uniform(0.5, 2.0, 6)
+        return np.concatenate([[0.5 * np.linalg.eigvalsh((V * x) @ V.T)[0]], x])
+
+    return ("edesign", EDesignBarrier(V), sampler)
+
+
+@pytest.mark.parametrize("name,oracle,sampler", oracle_cases() + [edesign_case()])
+def test_membership_or_full_evaluation(name, oracle, sampler):
+    x = sampler(np.random.default_rng(5))
+    ev0 = oracle.eval(x, order=0)
+    assert ev0.in_interior
+    assert ev0.value is None and ev0.gradient is None and ev0.hessian is None
+    full = [oracle.eval(x, order=k) for k in (1, 2, 3)]
+    for ev in full:
+        assert ev.in_interior
+        assert ev.value == full[0].value
+        assert ev.gradient.tobytes() == full[0].gradient.tobytes()
+        # the factor reproduces the Hessian: L^{-1} H = L', so L L' = H
+        H = ev.hessian.toarray()
+        Lt = np.column_stack([ev.hessian.half_solve(col) for col in H.T])
+        np.testing.assert_allclose(Lt.T @ Lt, H, atol=1e-12)
 
 
 def test_exterior_has_no_fields():

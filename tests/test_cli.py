@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nsconic
 from nsconic.cli import main
 from nsconic.fileio import load_problem
 
@@ -186,10 +189,14 @@ def test_check_barrier_rejects_flags_the_cone_does_not_take(flags, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports the same nsconic as this process, installed or not
+    src = str(Path(nsconic.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "nsconic.cli", "check-barrier", "--cone", "exp"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "result: OK" in proc.stdout

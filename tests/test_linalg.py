@@ -230,13 +230,3 @@ def test_hessian_operations_agree_with_the_array(kind):
     W = W.toarray() if sps.issparse(W) else W
     np.testing.assert_allclose(W, np.linalg.solve(L, dense.T), rtol=1e-10, atol=1e-14)
 
-
-def test_unfactored_dense_hessian_refuses_solves():
-    H = np.array([[2.0, 1.0], [1.0, 2.0]])
-    hess = DenseHessian(H)
-    np.testing.assert_array_equal(hess @ np.ones(2), [3.0, 3.0])
-    for solve in (hess.solve, hess.half_solve):
-        with pytest.raises(ValueError, match="not factored"):
-            solve(np.ones(2))
-    with pytest.raises(ValueError, match="not factored"):
-        hess.half_solve_t(SparseMatrix.from_dense(np.ones((1, 2))))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nsconic.barriers import (
+    Barrier,
     ExponentialBarrier,
     ExteriorPointError,
     NonnegativeBarrier,
@@ -12,8 +13,9 @@ from nsconic.barriers import (
 )
 import nsconic.solver
 from nsconic.cones import ConeSpec, solve_cones
+from nsconic.edesign import build_edesign, random_design_matrix
 from nsconic.generators import random_lp
-from nsconic.hsd import ProblemData, gap, proximity
+from nsconic.hsd import Iterate, ProblemData, gap, proximity
 from nsconic.linalg import DimensionMismatch, SparseMatrix
 from nsconic.solver import (
     LineSearchError,
@@ -312,3 +314,32 @@ def test_lp_solves_never_densify_A(monkeypatch):
     cones = [ConeSpec("lp", 30), ConeSpec("lp", 50)]
     res = solve_cones(prob.c, prob.A, prob.b, cones)
     assert res.status is SolverStatus.OPTIMAL
+
+
+@pytest.mark.parametrize("case", ["random_lp", "edesign"])
+def test_one_oracle_evaluation_at_the_start_point(monkeypatch, case):
+    if case == "random_lp":
+        prob, x0 = random_lp(20, 50, 0)
+        oracle = NonnegativeBarrier(50)
+    else:
+        prob, oracle, x0 = build_edesign(random_design_matrix(4, 8, seed=1))
+    evals, trials = [], []
+    real_eval, real_step = Barrier.eval, Iterate.step
+
+    def counted_eval(self, x, order=3):
+        evals.append((np.array(x), order))
+        return real_eval(self, x, order)
+
+    def counted_step(self, d, alpha):
+        zt = real_step(self, d, alpha)
+        if zt.tau > 0.0 and zt.kappa > 0.0:  # only these trials reach the oracle
+            trials.append(alpha)
+        return zt
+
+    monkeypatch.setattr(Barrier, "eval", counted_eval)
+    monkeypatch.setattr(Iterate, "step", counted_step)
+    res = solve(prob, oracle, x0)
+    assert res.status is SolverStatus.OPTIMAL
+    assert len(evals) == 1 + len(trials)
+    assert sum(np.array_equal(x, x0) for x, _ in evals) == 1
+    assert all(order == 3 for _, order in evals)
