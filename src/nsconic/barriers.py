@@ -1,24 +1,24 @@
 """Logarithmically homogeneous self-concordant barrier oracles.
 
-Each oracle answers membership queries for the interior of a proper cone and,
-on request, returns the barrier value, gradient and Hessian at the query
-point. The solver only ever talks to cones through this interface, so adding
-a cone means adding one oracle class.
-
-``eval(x, order)`` answers one of two requests. Order 0 asks for membership
-only. Any higher order asks for everything: the value, the gradient and the
-factored Hessian, an object (``DiagonalHessian`` or ``DenseHessian`` from
-``linalg``) that multiplies, solves with H and with its lower Cholesky factor
-L, and forms L^{-1} A' for the Newton solve. A separable barrier returns the
-diagonal kind, whose factor is free and which never builds an n x n array.
-Other oracles return the dense kind, built by ``Barrier._finish``, which
-factors H; a product with a dense block assembles its H and L from the
-blocks'.
+Each oracle answers two queries about a point of its cone. ``eval(x)``
+returns the barrier value, the gradient and the factored Hessian at x, or
+``EXTERIOR``. The factored Hessian is an object (``DiagonalHessian`` or
+``DenseHessian`` from ``linalg``) that multiplies, solves with H and with its
+lower Cholesky factor L, and forms L^{-1} A' for the Newton solve. A
+separable barrier returns the diagonal kind, whose factor is free and which
+never builds an n x n array. Other oracles return the dense kind, built by
+``Barrier._finish``, which factors H; a product with a dense block assembles
+its H and L from the blocks'. ``contains(x)`` tests membership only. By
+default it is ``eval(x).in_interior``. An oracle may override it with a
+cheaper test, which must accept every point that ``eval`` finds interior.
+The solver only ever talks to cones through this interface, so adding a
+cone means adding one oracle class that implements ``_evaluate(x)``.
 
 Points on the cone boundary count as exterior; all membership tests use
 strict inequalities. A Hessian whose Cholesky factorization breaks down
 numerically is likewise reported as exterior, so callers can treat
-``in_interior`` as "all requested quantities are usable".
+``in_interior`` as "every field is usable". Non-finite points are exterior
+to every oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .linalg import DenseHessian, DiagonalHessian, DimensionMismatch, try_chol
 
@@ -51,12 +52,10 @@ class ExteriorPointError(ValueError):
 
 @dataclass(frozen=True)
 class BarrierEval:
-    """Result of a barrier oracle query.
+    """Result of ``Barrier.eval``.
 
-    An order-0 query sets only ``in_interior``. Any higher order sets every
-    field of an interior point, with ``hessian`` factored. When
-    ``in_interior`` is False all other fields are None regardless of the
-    requested order.
+    At an interior point every field is set, with ``hessian`` factored. At
+    any other point ``in_interior`` is False and every other field is None.
     """
 
     in_interior: bool
@@ -90,17 +89,25 @@ class Barrier:
             return None
         return self._initial_point.copy()
 
-    def eval(self, x, order: int = 3) -> BarrierEval:
+    def eval(self, x) -> BarrierEval:
+        """Value, gradient and factored Hessian at x, or ``EXTERIOR``."""
+        x = self._point(x)
+        return EXTERIOR if x is None else self._evaluate(x)
+
+    def contains(self, x) -> bool:
+        """Whether x is strictly interior, as ``eval(x).in_interior``."""
+        return self.eval(x).in_interior
+
+    def _point(self, x) -> np.ndarray | None:
+        """x as a float array of the oracle's shape, or None if not finite."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.dim,):
             raise DimensionMismatch(
                 f"point has shape {x.shape}, oracle dimension is {self.dim}"
             )
-        if not np.isfinite(x).all():
-            return EXTERIOR
-        return self._evaluate(x, int(order))
+        return x if np.isfinite(x).all() else None
 
-    def _evaluate(self, x: np.ndarray, order: int) -> BarrierEval:
+    def _evaluate(self, x: np.ndarray) -> BarrierEval:
         raise NotImplementedError
 
     def _finish(self, value, gradient, hessian) -> BarrierEval:
@@ -117,11 +124,9 @@ class NonnegativeBarrier(Barrier):
     def __init__(self, dim: int):
         super().__init__(dim, nu=dim, initial_point=np.ones(dim))
 
-    def _evaluate(self, x, order):
+    def _evaluate(self, x):
         if x.min() <= 0.0:
             return EXTERIOR
-        if order < 1:
-            return BarrierEval(True)
         inv = 1.0 / x
         value = -np.log(x).sum()
         gradient = -inv
@@ -136,14 +141,12 @@ class SecondOrderBarrier(Barrier):
         e0[0] = 1.0
         super().__init__(dim, nu=2.0, initial_point=e0)
 
-    def _evaluate(self, x, order):
+    def _evaluate(self, x):
         jx = x.copy()
         jx[1:] *= -1.0
         residual = float(x @ jx)  # x0^2 - ||rest||^2
         if x[0] <= 0.0 or residual <= 0.0:
             return EXTERIOR
-        if order < 1:
-            return BarrierEval(True)
         value = -np.log(residual)
         gradient = (-2.0 / residual) * jx
         hessian = (4.0 / residual**2) * np.outer(jx, jx)
@@ -162,7 +165,7 @@ class ExponentialBarrier(Barrier):
     def __init__(self):
         super().__init__(3, nu=3.0, initial_point=np.array([2.0, 1.0, 0.0]))
 
-    def _evaluate(self, x, order):
+    def _evaluate(self, x):
         x1, x2, x3 = x
         if x1 <= 0.0 or x2 <= 0.0:
             return EXTERIOR
@@ -170,8 +173,6 @@ class ExponentialBarrier(Barrier):
         residual = x2 * ratio - x3
         if residual <= 0.0:
             return EXTERIOR
-        if order < 1:
-            return BarrierEval(True)
         value = -np.log(residual) - np.log(x1) - np.log(x2)
         dr = np.array([x2 / x1, ratio - 1.0, -1.0])
         gradient = -dr / residual - np.array([1.0 / x1, 1.0 / x2, 0.0])
@@ -210,7 +211,7 @@ class PowerBarrier(Barrier):
         super().__init__(n + 1, nu=n + 1.0, initial_point=x0)
         self.weights = w
 
-    def _evaluate(self, v, order):
+    def _evaluate(self, v):
         w = self.weights
         x = v[:-1]
         z = v[-1]
@@ -221,8 +222,6 @@ class PowerBarrier(Barrier):
         residual = power - z * z
         if residual <= 0.0:
             return EXTERIOR
-        if order < 1:
-            return BarrierEval(True)
         value = -np.log(residual) - ((1.0 - w) * logx).sum()
         dp = 2.0 * w * power / x  # gradient of the power product
         gradient = np.empty(self.dim)
@@ -282,28 +281,23 @@ class ProductBarrier(Barrier):
         o = self._offsets
         return [v[o[i] : o[i + 1]] for i in range(len(self.factors))]
 
-    def _evaluate(self, x, order):
+    def _evaluate(self, x):
         evals = []
         for f, xb in zip(self.factors, self.blocks(x)):
-            ev = f._evaluate(xb, order)
+            ev = f._evaluate(xb)
             if not ev.in_interior:
                 return EXTERIOR
             evals.append(ev)
-        if order < 1:
-            return BarrierEval(True)
         value = sum(ev.value for ev in evals)
         gradient = np.concatenate([ev.gradient for ev in evals])
         hs = [ev.hessian for ev in evals]
         if all(isinstance(h, DiagonalHessian) for h in hs):
             hess = DiagonalHessian(np.concatenate([h.l for h in hs]))
             return BarrierEval(True, value, gradient, hess)
-        hessian = np.zeros((self.dim, self.dim))
-        chol = np.zeros((self.dim, self.dim))
-        o = self._offsets
-        for i, h in enumerate(hs):
-            sl = slice(o[i], o[i + 1])
-            hessian[sl, sl] = h.toarray()
-            chol[sl, sl] = np.diag(h.l) if isinstance(h, DiagonalHessian) else h.L
+        hessian = block_diag(*(h.toarray() for h in hs))
+        chol = block_diag(
+            *(np.diag(h.l) if isinstance(h, DiagonalHessian) else h.L for h in hs)
+        )
         return BarrierEval(True, value, gradient, DenseHessian(hessian, chol))
 
 
@@ -327,16 +321,14 @@ class PullbackBarrier(Barrier):
         self.inner = inner
         self.mat = mat
         if initial_point is not None:
-            if not self.eval(initial_point, order=0).in_interior:
+            if not self.contains(initial_point):
                 raise ExteriorPointError("initial point maps outside the cone interior")
 
-    def _evaluate(self, x, order):
+    def _evaluate(self, x):
         y = self.mat @ x
-        ev = self.inner.eval(y, order)
+        ev = self.inner.eval(y)
         if not ev.in_interior:
             return EXTERIOR
-        if order < 1:
-            return BarrierEval(True)
         gradient = self.mat.T @ ev.gradient
         hessian = self.mat.T @ ev.hessian.toarray() @ self.mat
         return self._finish(ev.value, gradient, hessian)

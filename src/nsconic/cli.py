@@ -161,7 +161,7 @@ def _sample_near_start(oracle, rng):
     radius = 0.5
     for _ in range(60):
         candidate = x0 + radius * rng.standard_normal(oracle.dim)
-        if oracle.eval(candidate, order=0).in_interior:
+        if oracle.contains(candidate):
             return candidate
         radius *= 0.7
     return x0

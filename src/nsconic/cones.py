@@ -25,7 +25,7 @@ from .barriers import (
     free_embedding,
 )
 from .hsd import ProblemData
-from .linalg import DimensionMismatch, SparseMatrix
+from .linalg import DimensionMismatch, SparseMatrix, as_int
 from .solver import SolverOptions, SolverResult, solve
 
 __all__ = [
@@ -62,6 +62,8 @@ class ConeSpec:
     def __post_init__(self):
         if self.type not in CONE_TYPES:
             raise ConeSpecError(f"unknown cone type {self.type!r}")
+        if self.dim is not None:
+            object.__setattr__(self, "dim", as_int(self.dim, "dim", ConeSpecError))
         lam = self.lam
         if self.type == "gpow":
             if lam is None:
@@ -88,7 +90,6 @@ class ConeSpec:
             return
         if self.dim is None or self.dim < 1:
             raise ConeSpecError(f"{self.type} needs a positive dimension")
-        object.__setattr__(self, "dim", int(self.dim))
 
 
 def block_oracle(spec: ConeSpec) -> Barrier:
@@ -157,10 +158,7 @@ def default_x0(cp: ConeProduct) -> np.ndarray:
     Per block: lp all ones, socp (1, 0, ...), exp (2, 1, 0), gpow (ones, 0),
     free (1, zeros) including the dummy.
     """
-    x0 = cp.oracle.initial_point
-    if not cp.oracle.eval(x0, order=0).in_interior:
-        raise ConeSpecError("default start failed the interior check")
-    return x0
+    return cp.oracle.initial_point
 
 
 def embed_point(cp: ConeProduct, x) -> np.ndarray:

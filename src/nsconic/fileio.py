@@ -12,8 +12,10 @@ The problem file is a JSON document:
 
 Matrix indices are zero-based coordinate triplets. "x0" is optional; every
 other field is required, and unknown fields anywhere are rejected so typos
-fail loudly instead of being ignored. Floats round-trip exactly (Python's
-JSON writer emits shortest full-precision reprs).
+fail loudly instead of being ignored. Sizes and indices ("m", "n", "rows",
+"cols", "dim") must be integers; an integral float such as 2.0 is read as
+one, and anything else is rejected rather than truncated. Floats round-trip
+exactly (Python's JSON writer emits shortest full-precision reprs).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .cones import ConeSpec, ConeSpecError
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, as_int
 from .solver import SolverResult
 
 __all__ = [
@@ -58,6 +60,19 @@ def _real_array(obj, name) -> np.ndarray:
     return arr
 
 
+def _index_array(obj, name) -> np.ndarray:
+    """Integers (integral floats allowed) as int64; bools are not integers."""
+    items = obj if isinstance(obj, list) else [obj]
+    types = set(map(type, items))
+    if types <= {int}:  # the common case; fromiter converts faster than asarray
+        return np.fromiter(items, dtype=np.int64, count=len(items))
+    if types <= {int, float}:
+        arr = np.asarray(items, dtype=np.float64)
+        if np.isfinite(arr).all() and (arr == np.trunc(arr)).all():
+            return arr.astype(np.int64)
+    raise ProblemFileError(f"field {name!r} must hold integers")
+
+
 def _parse_matrix(block) -> SparseMatrix:
     if not isinstance(block, dict):
         raise ProblemFileError('"A" must be an object')
@@ -69,13 +84,13 @@ def _parse_matrix(block) -> SparseMatrix:
         raise ProblemFileError(f'missing field(s) in "A": {sorted(missing)}')
     try:
         return SparseMatrix(
-            int(block["m"]),
-            int(block["n"]),
-            np.asarray(block["rows"], dtype=np.int64),
-            np.asarray(block["cols"], dtype=np.int64),
+            as_int(block["m"], "field 'm'"),
+            as_int(block["n"], "field 'n'"),
+            _index_array(block["rows"], "rows"),
+            _index_array(block["cols"], "cols"),
             np.asarray(block["vals"], dtype=np.float64),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFileError(f"bad matrix block: {exc}") from None
 
 
@@ -95,7 +110,7 @@ def _parse_cones(entries) -> list[ConeSpec]:
             specs.append(
                 ConeSpec(
                     type=entry["type"],
-                    dim=None if entry.get("dim") is None else int(entry["dim"]),
+                    dim=entry.get("dim"),
                     lam=entry.get("lambda"),
                 )
             )

@@ -14,6 +14,7 @@ from scipy.linalg import lapack, solve_triangular
 
 __all__ = [
     "DimensionMismatch",
+    "as_int",
     "SparseMatrix",
     "try_chol",
     "solve_lower",
@@ -25,6 +26,20 @@ __all__ = [
 
 class DimensionMismatch(ValueError):
     """Operand shapes are inconsistent."""
+
+
+def as_int(value, name: str, error: type[Exception] = ValueError) -> int:
+    """A size or count given from outside, as an int.
+
+    Python and NumPy integers and integral floats are accepted. Bools,
+    fractional or non-finite floats and anything else raise ``error``, whose
+    message names ``name``.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 class SparseMatrix:

@@ -37,7 +37,7 @@ from .hsd import (
     proximity,
     residuals,
 )
-from .linalg import DimensionMismatch
+from .linalg import DimensionMismatch, as_int
 
 __all__ = [
     "SolverStatus",
@@ -97,6 +97,7 @@ class SolverOptions:
     def __post_init__(self):
         if not (0.0 < self.optim_tol < 1.0):
             raise ValueError("optim_tol must be in (0, 1)")
+        self.max_iter = as_int(self.max_iter, "max_iter")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
 
@@ -150,7 +151,7 @@ def _start(prob, oracle, x0):
         if x0 is None:
             raise ValueError("oracle has no canonical initial point; pass x0")
     x0 = np.asarray(x0, dtype=np.float64)
-    ev = oracle.eval(x0, order=3)
+    ev = oracle.eval(x0)
     if not ev.in_interior:
         raise ExteriorPointError("initial point is not strictly interior")
     return Iterate(np.zeros(prob.m), x0.copy(), 1.0, -ev.gradient, 1.0), ev
@@ -179,7 +180,7 @@ def _step(prob, oracle, z, ev, rhs, accept):
     for _ in range(LS_MAX_STEPS):
         zt = z.step(d, alpha)
         if zt.tau > 0.0 and zt.kappa > 0.0:
-            evt = oracle.eval(zt.x, order=3)
+            evt = oracle.eval(zt.x)
             if evt.in_interior and gap(zt, nu) > 0.0:
                 prox = proximity(zt, evt, nu)
                 if accept(prox):

@@ -64,7 +64,7 @@ def random_state(prob, oracle, rng):
     """Random embedding iterate with x and s strictly interior (primal/dual)."""
     x = sample_block(oracle, rng)
     w = sample_block(oracle, rng)
-    s = -oracle.eval(w, order=1).gradient
+    s = -oracle.eval(w).gradient
     y = rng.standard_normal(prob.m)
     tau = float(rng.uniform(0.5, 2.0))
     kappa = float(rng.uniform(0.5, 2.0))

@@ -114,7 +114,7 @@ def test_criterion_1_barrier_identities():
         nu = oracle.nu
         for _ in range(100):
             x = sampler(rng)
-            ev = oracle.eval(x, order=2)
+            ev = oracle.eval(x)
             assert ev.in_interior, name
 
             euler = abs(x @ ev.gradient + nu)
@@ -127,7 +127,7 @@ def test_criterion_1_barrier_identities():
             worst["hx"] = max(worst["hx"], hx / gnorm)
 
             for t in (0.5, 3.0):
-                ev_t = oracle.eval(t * x, order=2)
+                ev_t = oracle.eval(t * x)
                 r_val = abs(ev_t.value - ev.value + nu * np.log(t)) / max(
                     1.0, abs(ev.value)
                 )
@@ -171,7 +171,7 @@ def test_criterion_2_initialization_on_central_path():
         prob = random_problem(oracle, 2, rng)
         z0 = initial_iterate(prob, oracle)
         mu0 = gap(z0, oracle.nu)
-        prox0 = proximity(z0, oracle.eval(z0.x, order=3), oracle.nu)
+        prox0 = proximity(z0, oracle.eval(z0.x), oracle.nu)
         assert abs(mu0 - 1.0) <= 1e-13
         assert prox0 <= 1e-12
         worst_mu = max(worst_mu, abs(mu0 - 1.0))
@@ -180,7 +180,7 @@ def test_criterion_2_initialization_on_central_path():
     prob, barrier, x0 = build_edesign(random_design_matrix(4, 8, seed=3))
     z0 = initial_iterate(prob, barrier, x0)
     assert abs(gap(z0, barrier.nu) - 1.0) <= 1e-13
-    assert proximity(z0, barrier.eval(z0.x, order=3), barrier.nu) <= 1e-12
+    assert proximity(z0, barrier.eval(z0.x), barrier.nu) <= 1e-12
     print(
         f"\n[criterion 2] initialization: PASS "
         f"(|mu0-1| <= {worst_mu:.1e}, proximity <= {worst_prox:.1e})"
@@ -195,7 +195,7 @@ def test_criterion_3_newton_against_dense_reference():
         m = int(rng.integers(1, min(oracle.dim, 8) + 1))
         prob = random_problem(oracle, m, rng)
         z = random_state(prob, oracle, rng)
-        ev = oracle.eval(z.x, order=3)
+        ev = oracle.eval(z.x)
         mu = gap(z, oracle.nu)
 
         rhs = NewtonRhs(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsconic.barriers import (
     ExponentialBarrier,
@@ -174,13 +176,13 @@ def test_free_embedding_shape():
     assert b.nu == 2.0
     x0 = b.initial_point
     np.testing.assert_array_equal(x0, np.eye(7)[0])
-    assert b.eval(x0, order=0).in_interior
+    assert b.contains(x0)
     # any trailing block is reachable with a large enough dummy
     v = np.concatenate([[10.0], np.arange(-3.0, 3.0)])
-    assert b.eval(v, order=0).in_interior
+    assert b.contains(v)
 
 
-# ------------------------------------------------------ membership or everything
+# --------------------------------------------------- membership and evaluation
 
 
 def edesign_case():
@@ -196,22 +198,57 @@ def edesign_case():
 @pytest.mark.parametrize("name,oracle,sampler", oracle_cases() + [edesign_case()])
 def test_membership_or_full_evaluation(name, oracle, sampler):
     x = sampler(np.random.default_rng(5))
-    ev0 = oracle.eval(x, order=0)
-    assert ev0.in_interior
-    assert ev0.value is None and ev0.gradient is None and ev0.hessian is None
-    full = [oracle.eval(x, order=k) for k in (1, 2, 3)]
-    for ev in full:
-        assert ev.in_interior
-        assert ev.value == full[0].value
-        assert ev.gradient.tobytes() == full[0].gradient.tobytes()
-        # the factor reproduces the Hessian: L^{-1} H = L', so L L' = H
-        H = ev.hessian.toarray()
-        Lt = np.column_stack([ev.hessian.half_solve(col) for col in H.T])
-        np.testing.assert_allclose(Lt.T @ Lt, H, atol=1e-12)
+    assert oracle.contains(x)
+    ev = oracle.eval(x)
+    assert ev.in_interior
+    assert np.isfinite(ev.value)
+    assert ev.gradient.shape == (oracle.dim,)
+    # the factor reproduces the Hessian: L^{-1} H = L', so L L' = H
+    H = ev.hessian.toarray()
+    Lt = np.column_stack([ev.hessian.half_solve(col) for col in H.T])
+    np.testing.assert_allclose(Lt.T @ Lt, H, atol=1e-12)
+
+
+def _exit_along_ray(oracle, x, d):
+    """Largest t (to bisection accuracy, capped at 1024) with x + t d interior."""
+    lo, hi = 0.0, 1.0
+    while hi < 1024.0 and oracle.eval(x + hi * d).in_interior:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if oracle.eval(x + mid * d).in_interior else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("name,oracle,sampler", oracle_cases() + [edesign_case()])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # fractions of the way to the boundary along a random ray: inside,
+    # outside, and within a relative 1e-9 of the boundary on either side
+    frac=st.one_of(st.floats(0.0, 3.0), st.floats(1.0 - 1e-9, 1.0 + 1e-9)),
+    bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+)
+def test_contains_agrees_with_eval(name, oracle, sampler, seed, frac, bad):
+    rng = np.random.default_rng(seed)
+    x = sampler(rng)
+    d = rng.standard_normal(oracle.dim)
+    p = x + frac * _exit_along_ray(oracle, x, d) * d
+    if bad is not None:
+        p[rng.integers(oracle.dim)] = bad
+    ev = oracle.eval(p)
+    inside = oracle.contains(p)
+    if ev.in_interior:
+        assert inside
+    if not isinstance(oracle, EDesignBarrier):
+        # only the E-design oracle answers membership without the Hessian
+        assert inside == ev.in_interior
+    if bad is not None:
+        assert not inside and not ev.in_interior
 
 
 def test_exterior_has_no_fields():
-    ev = NonnegativeBarrier(2).eval(np.array([1.0, -1.0]), order=3)
+    ev = NonnegativeBarrier(2).eval(np.array([1.0, -1.0]))
     assert not ev.in_interior
     assert ev.value is None and ev.gradient is None
     assert ev.hessian is None
@@ -236,7 +273,7 @@ def test_homogeneity_identities(name, oracle, sampler):
     rng = np.random.default_rng(42)
     for _ in range(25):
         x = sampler(rng)
-        ev = oracle.eval(x, order=3)
+        ev = oracle.eval(x)
         assert ev.in_interior, name
         nu = oracle.nu
         # Euler identities for logarithmically homogeneous barriers
@@ -246,7 +283,7 @@ def test_homogeneity_identities(name, oracle, sampler):
         assert np.linalg.norm(ev.hessian @ x + ev.gradient) <= 1e-7 * max(1.0, gnorm)
         # value/gradient/Hessian scaling under x -> t x
         for t in (0.5, 2.0, 10.0):
-            evt = oracle.eval(t * x, order=2)
+            evt = oracle.eval(t * x)
             assert evt.in_interior
             expected = ev.value - nu * np.log(t)
             assert abs(evt.value - expected) <= 1e-9 * max(1.0, abs(expected))
@@ -281,8 +318,8 @@ def test_gradient_maps_into_dual_cone(oracle, sampler):
     # lp and socp are self-dual: -g(x) must land strictly inside the cone
     rng = np.random.default_rng(2)
     for _ in range(20):
-        ev = oracle.eval(sampler(rng), order=1)
-        assert oracle.eval(-ev.gradient, order=0).in_interior
+        ev = oracle.eval(sampler(rng))
+        assert oracle.contains(-ev.gradient)
 
 
 def test_fd_check_rejects_exterior():
@@ -331,13 +368,12 @@ def test_product_hessian_kind_follows_its_factors():
     x = np.array([1.0, 2.0, 3.0, 1.0, -1.0])
     lp_only = ProductBarrier([NonnegativeBarrier(2), NonnegativeBarrier(3)])
     mixed = ProductBarrier([NonnegativeBarrier(2), SecondOrderBarrier(3)])
-    for order in (2, 3):
-        ev = lp_only.eval(np.abs(x), order=order)
-        assert isinstance(ev.hessian, DiagonalHessian)
-        np.testing.assert_allclose(ev.hessian.toarray(), np.diag(1.0 / x**2), rtol=1e-15)
-        assert isinstance(mixed.eval(x, order=order).hessian, DenseHessian)
+    ev = lp_only.eval(np.abs(x))
+    assert isinstance(ev.hessian, DiagonalHessian)
+    np.testing.assert_allclose(ev.hessian.toarray(), np.diag(1.0 / x**2), rtol=1e-15)
     # the mixed product's factor is the block-diagonal one of its factors
-    ev = mixed.eval(x, order=3)
+    ev = mixed.eval(x)
+    assert isinstance(ev.hessian, DenseHessian)
     v = np.arange(1.0, 6.0)
     expected = np.concatenate(
         [

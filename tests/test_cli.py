@@ -97,6 +97,13 @@ def test_input_errors_exit_4(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_non_integral_field_exits_4_and_names_it(tmp_path, capsys):
+    doc = lp_doc()
+    doc["A"]["rows"] = [0.7, 0]
+    assert main(["solve", write_doc(tmp_path, doc)]) == 4
+    assert "'rows'" in capsys.readouterr().err
+
+
 def test_tolerance_flag_tightens_result(tmp_path, capsys):
     path = write_doc(tmp_path, lp_doc())
     main(["solve", path, "--tol", "1e-10"])

@@ -37,12 +37,18 @@ def test_spec_validation_errors():
         ConeSpec("lp", 3, lam=(1.0,))
     with pytest.raises(ConeSpecError):
         build_cones([])
+    for bad in (2.5, True, "2", np.bool_(True)):
+        with pytest.raises(ConeSpecError, match="dim"):
+            ConeSpec("lp", bad)
 
 
 def test_spec_defaults():
     assert ConeSpec("exp").dim == 3
     assert ConeSpec("gpow", lam=(0.3, 0.7)).dim == 3
     assert ConeSpec("lp", 7).dim == 7
+    assert type(ConeSpec("lp", 7.0).dim) is int
+    assert ConeSpec("socp", np.int64(4)).dim == 4
+    assert type(ConeSpec("exp", 3.0).dim) is int
 
 
 def test_build_single_lp():
@@ -100,7 +106,7 @@ def test_default_x0_blocks():
         + [1.0, 1.0, 0.0]  # gpow
         + [1.0, 0.0, 0.0],  # free dummy + block
     )
-    assert cp.oracle.eval(x0, order=0).in_interior
+    assert cp.oracle.contains(x0)
 
 
 def test_default_x0_gives_unit_gap():
@@ -117,7 +123,7 @@ def test_embed_strip_roundtrip():
     x = np.array([1.0, -2.0, 3.0, 0.5, 0.6])
     v = embed_point(cp, x)
     assert v.shape == (6,)
-    assert cp.oracle.eval(v, order=0).in_interior
+    assert cp.oracle.contains(v)
     np.testing.assert_array_equal(strip_point(cp, v), x)
     with pytest.raises(DimensionMismatch):
         embed_point(cp, np.ones(4))

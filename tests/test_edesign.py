@@ -27,7 +27,7 @@ def test_barrier_hand_values_identity_design():
     barrier = EDesignBarrier(np.eye(2))
     assert barrier.dim == 3
     assert barrier.nu == 4.0
-    ev = barrier.eval(np.array([0.1, 1.0, 1.0]), order=2)
+    ev = barrier.eval(np.array([0.1, 1.0, 1.0]))
     assert ev.in_interior
     assert ev.value == pytest.approx(-2.0 * np.log(0.9), abs=1e-14)
     assert ev.gradient == pytest.approx([2.0 / 0.9, -1.0 / 0.9 - 1.0, -1.0 / 0.9 - 1.0])
@@ -44,12 +44,12 @@ def test_barrier_hand_values_identity_design():
 def test_barrier_boundary_and_exterior():
     barrier = EDesignBarrier(np.eye(2))
     # t equal to lambda_min makes M singular
-    assert not barrier.eval(np.array([1.0, 1.0, 1.0]), order=0).in_interior
-    assert not barrier.eval(np.array([1.5, 1.0, 1.0]), order=0).in_interior
-    assert not barrier.eval(np.array([0.1, 0.0, 1.0]), order=0).in_interior
-    assert not barrier.eval(np.array([0.1, 1.0, -0.5]), order=0).in_interior
+    assert not barrier.contains(np.array([1.0, 1.0, 1.0]))
+    assert not barrier.contains(np.array([1.5, 1.0, 1.0]))
+    assert not barrier.contains(np.array([0.1, 0.0, 1.0]))
+    assert not barrier.contains(np.array([0.1, 1.0, -0.5]))
     # negative t is fine as long as x > 0
-    assert barrier.eval(np.array([-3.0, 1.0, 1.0]), order=0).in_interior
+    assert barrier.contains(np.array([-3.0, 1.0, 1.0]))
 
 
 def test_barrier_rejects_bad_design_matrix():
@@ -69,14 +69,14 @@ def test_barrier_homogeneity_identities():
         assert barrier.nu == float(n + p)
         for _ in range(20):
             v = sample_design_point(V, rng)
-            ev = barrier.eval(v, order=2)
+            ev = barrier.eval(v)
             assert ev.in_interior
             assert abs(v @ ev.gradient + barrier.nu) <= 1e-8 * barrier.nu
             resid = ev.hessian @ v + ev.gradient
             assert np.linalg.norm(resid) <= 1e-7 * np.linalg.norm(ev.gradient)
             # f(s v) = f(v) - nu log s
             s = 2.5
-            ev2 = barrier.eval(s * v, order=1)
+            ev2 = barrier.eval(s * v)
             assert ev2.value == pytest.approx(
                 ev.value - barrier.nu * np.log(s), rel=1e-12
             )
@@ -103,7 +103,7 @@ def test_build_edesign_structure():
     assert x0[1:] == pytest.approx([1.0 / 3.0] * 3)
     uniform_info = (V * x0[1:]) @ V.T
     assert x0[0] == pytest.approx(0.5 * smallest_eigenvalue(uniform_info))
-    assert barrier.eval(x0, order=0).in_interior
+    assert barrier.contains(x0)
 
 
 def test_build_edesign_rejects_rank_deficient():
@@ -218,7 +218,7 @@ def test_barrier_matches_inverse_formulas(n, p):
         lam = smallest_eigenvalue((V * x) @ V.T)
         t = (rng.uniform(-1.0, 0.9) if frac is None else frac) * lam
         v = np.concatenate([[t], x])
-        ev = barrier.eval(v, order=3)
+        ev = barrier.eval(v)
         assert ev.in_interior
         value, gradient, hessian, kappa = _reference_oracle(V, v)
         tol = 100.0 * np.finfo(float).eps * kappa
@@ -227,6 +227,3 @@ def test_barrier_matches_inverse_formulas(n, p):
         H = ev.hessian.toarray()
         assert np.linalg.norm(H - hessian) <= tol * np.linalg.norm(hessian)
         np.testing.assert_array_equal(H, H.T)
-        ev1 = barrier.eval(v, order=1)
-        assert ev1.value == ev.value
-        np.testing.assert_array_equal(ev1.gradient, ev.gradient)

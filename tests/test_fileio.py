@@ -176,6 +176,36 @@ def test_bad_matrix_indices_rejected(tmp_path):
         load_problem(write_doc(tmp_path, doc))
 
 
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (lambda d: d["A"].update(rows=[0.7, 0]), "field 'rows'"),
+        (lambda d: d["A"].update(cols=[0, 3.9]), "field 'cols'"),
+        (lambda d: d["A"].update(cols=[0, True]), "field 'cols'"),
+        (lambda d: d["A"].update(m=1.9), "field 'm'"),
+        (lambda d: d["A"].update(m=True), "field 'm'"),
+        (lambda d: d["A"].update(n="2"), "field 'n'"),
+        (lambda d: d["cones"][0].update(dim=2.5), "cone 0: dim"),
+        (lambda d: d["cones"][0].update(dim="2"), "cone 0: dim"),
+    ],
+)
+def test_non_integral_sizes_and_indices_rejected(tmp_path, mutate, message):
+    # each of these used to load, cut down to an integer by int() or astype
+    doc = minimal_doc()
+    mutate(doc)
+    with pytest.raises(ProblemFileError, match=message):
+        load_problem(write_doc(tmp_path, doc))
+
+
+def test_integral_floats_accepted_as_sizes_and_indices(tmp_path):
+    doc = minimal_doc()
+    doc["A"].update(m=1.0, n=2.0, rows=[0.0, 0], cols=[0, 1.0])
+    doc["cones"][0]["dim"] = 2.0
+    c, A, b, cones, x0 = load_problem(write_doc(tmp_path, doc))
+    assert A.shape == (1, 2) and cones[0].dim == 2 and type(cones[0].dim) is int
+    np.testing.assert_array_equal(A.toarray(), [[1.0, 1.0]])
+
+
 def test_unreadable_or_invalid_json(tmp_path):
     with pytest.raises(ProblemFileError, match="cannot read"):
         load_problem(tmp_path / "missing.json")

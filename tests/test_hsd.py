@@ -74,7 +74,7 @@ def test_centrality_residual_zero_on_central_path():
     rng = np.random.default_rng(1)
     oracle = random_mixed_cone(rng, 10)
     x = sample_block(oracle, rng)
-    g = oracle.eval(x, order=1).gradient
+    g = oracle.eval(x).gradient
     t = 0.37
     tau = 1.7
     z = Iterate(np.zeros(2), x, tau, -t * g, t / tau)
@@ -87,7 +87,7 @@ def test_proximity_zero_on_central_path_and_positive_off():
     rng = np.random.default_rng(2)
     oracle = random_mixed_cone(rng, 9)
     x = sample_block(oracle, rng)
-    ev = oracle.eval(x, order=3)
+    ev = oracle.eval(x)
     tau = 1.3
     # choose s, kappa so that mu equals t exactly and psi vanishes
     t = 0.8
@@ -104,7 +104,7 @@ def test_proximity_matches_dense_reference():
         oracle = random_mixed_cone(rng, 12)
         prob = random_problem(oracle, 2, rng)
         z = random_state(prob, oracle, rng)
-        ev = oracle.eval(z.x, order=3)
+        ev = oracle.eval(z.x)
         mu = gap(z, oracle.nu)
         psi_x, _ = centrality_residual(z, mu, ev.gradient)
         expected = (
@@ -123,10 +123,10 @@ def test_proximity_scale_invariant():
     oracle = random_mixed_cone(rng, 10)
     prob = random_problem(oracle, 3, rng)
     z = random_state(prob, oracle, rng)
-    p0 = proximity(z, oracle.eval(z.x, order=3), oracle.nu)
+    p0 = proximity(z, oracle.eval(z.x), oracle.nu)
     for t in (0.25, 4.0):
         zt = Iterate(t * z.y, t * z.x, t * z.tau, t * z.s, t * z.kappa)
-        pt = proximity(zt, oracle.eval(zt.x, order=3), oracle.nu)
+        pt = proximity(zt, oracle.eval(zt.x), oracle.nu)
         np.testing.assert_allclose(pt, p0, rtol=1e-9)
 
 
@@ -135,7 +135,7 @@ def test_newton_zero_rhs_gives_zero_direction():
     oracle = random_mixed_cone(rng, 8)
     prob = random_problem(oracle, 3, rng)
     z = random_state(prob, oracle, rng)
-    ev = oracle.eval(z.x, order=3)
+    ev = oracle.eval(z.x)
     mu = gap(z, oracle.nu)
     rhs = NewtonRhs(np.zeros(prob.m), np.zeros(prob.n), 0.0, np.zeros(prob.n), 0.0)
     d = newton_solve(prob, z, mu, ev, rhs)
@@ -149,7 +149,7 @@ def test_newton_matches_dense_reference():
         m = int(rng.integers(1, 6))
         prob = random_problem(oracle, m, rng)
         z = random_state(prob, oracle, rng)
-        ev = oracle.eval(z.x, order=3)
+        ev = oracle.eval(z.x)
         mu = gap(z, oracle.nu)
         if trial % 2 == 0:
             rhs = predictor_rhs(z, prob)
@@ -180,7 +180,7 @@ def test_newton_m_zero_edge():
         SparseMatrix(0, 4, [], [], []), np.zeros(0), rng.standard_normal(4)
     )
     z = random_state(prob, oracle, rng)
-    ev = oracle.eval(z.x, order=3)
+    ev = oracle.eval(z.x)
     mu = gap(z, oracle.nu)
     rhs = predictor_rhs(z, prob)
     d = newton_solve(prob, z, mu, ev, rhs)
@@ -197,7 +197,7 @@ def test_newton_scalar_problem():
     oracle = NonnegativeBarrier(1)
     prob = ProblemData(np.array([[1.0]]), np.array([1.0]), np.array([1.0]))
     z = Iterate(np.array([0.5]), np.array([2.0]), 1.5, np.array([0.7]), 0.9)
-    ev = oracle.eval(z.x, order=3)
+    ev = oracle.eval(z.x)
     mu = gap(z, oracle.nu)
     rhs = predictor_rhs(z, prob)
     d = newton_solve(prob, z, mu, ev, rhs)
@@ -217,7 +217,7 @@ def test_predictor_step_contracts_residuals():
         m = int(rng.integers(1, 5))
         prob = random_problem(oracle, m, rng)
         z = random_state(prob, oracle, rng)
-        ev = oracle.eval(z.x, order=3)
+        ev = oracle.eval(z.x)
         mu = gap(z, oracle.nu)
         d = newton_solve(prob, z, mu, ev, predictor_rhs(z, prob))
         res = residuals(z, prob)
@@ -242,7 +242,7 @@ def test_corrector_step_preserves_residuals():
         m = int(rng.integers(1, 5))
         prob = random_problem(oracle, m, rng)
         z = random_state(prob, oracle, rng)
-        ev = oracle.eval(z.x, order=3)
+        ev = oracle.eval(z.x)
         mu = gap(z, oracle.nu)
         psi_x, psi_k = centrality_residual(z, mu, ev.gradient)
         rhs = NewtonRhs(np.zeros(m), np.zeros(prob.n), 0.0, -psi_x, -psi_k)
@@ -262,7 +262,7 @@ def test_newton_redundant_rows_survive_via_regularization():
     A = np.array([[1.0, 0.0], [1.0, 0.0]])
     prob = ProblemData(A, np.array([1.0, 1.0]), np.array([1.0, 1.0]))
     z = Iterate(np.zeros(2), np.ones(2), 1.0, np.ones(2), 1.0)
-    ev = oracle.eval(z.x, order=3)
+    ev = oracle.eval(z.x)
     d = newton_solve(prob, z, gap(z, oracle.nu), ev, predictor_rhs(z, prob))
     assert np.isfinite(direction_as_vector(d)).all()
 
@@ -290,7 +290,7 @@ def test_newton_on_diagonal_hessian_matches_dense_reference(oracle):
         m = int(rng.integers(1, 8))
         prob = sparse_problem(oracle.dim, m, rng)
         z = random_state(prob, oracle, rng)
-        ev = oracle.eval(z.x, order=3)
+        ev = oracle.eval(z.x)
         assert isinstance(ev.hessian, DiagonalHessian)
         mu = gap(z, oracle.nu)
         rhs = NewtonRhs(
@@ -325,7 +325,7 @@ def test_proximity_on_diagonal_hessian_matches_dense_reference(oracle):
     for _ in range(10):
         prob = sparse_problem(oracle.dim, 3, rng)
         z = random_state(prob, oracle, rng)
-        ev = oracle.eval(z.x, order=3)
+        ev = oracle.eval(z.x)
         mu = gap(z, oracle.nu)
         psi_x, _ = centrality_residual(z, mu, ev.gradient)
         H = ev.hessian.toarray()

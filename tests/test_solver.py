@@ -39,6 +39,11 @@ def test_options_validation():
         SolverOptions(optim_tol=2.0)
     with pytest.raises(ValueError):
         SolverOptions(max_iter=0)
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverOptions(max_iter=bad)
+    assert SolverOptions(max_iter=np.int32(3)).max_iter == 3
+    assert type(SolverOptions(max_iter=4.0).max_iter) is int
 
 
 @pytest.mark.parametrize(
@@ -61,7 +66,7 @@ def test_initial_iterate_is_centered(oracle):
     assert np.all(z.y == 0.0)
     mu0 = gap(z, oracle.nu)
     assert abs(mu0 - 1.0) <= 1e-14
-    ev = oracle.eval(z.x, order=3)
+    ev = oracle.eval(z.x)
     assert proximity(z, ev, oracle.nu) <= 1e-12
 
 
@@ -326,9 +331,9 @@ def test_one_oracle_evaluation_at_the_start_point(monkeypatch, case):
     evals, trials = [], []
     real_eval, real_step = Barrier.eval, Iterate.step
 
-    def counted_eval(self, x, order=3):
-        evals.append((np.array(x), order))
-        return real_eval(self, x, order)
+    def counted_eval(self, x):
+        evals.append(np.array(x))
+        return real_eval(self, x)
 
     def counted_step(self, d, alpha):
         zt = real_step(self, d, alpha)
@@ -341,5 +346,4 @@ def test_one_oracle_evaluation_at_the_start_point(monkeypatch, case):
     res = solve(prob, oracle, x0)
     assert res.status is SolverStatus.OPTIMAL
     assert len(evals) == 1 + len(trials)
-    assert sum(np.array_equal(x, x0) for x, _ in evals) == 1
-    assert all(order == 3 for _, order in evals)
+    assert sum(np.array_equal(x, x0) for x in evals) == 1
