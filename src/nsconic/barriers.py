@@ -8,11 +8,10 @@ lower Cholesky factor L, and forms L^{-1} A' for the Newton solve. A
 separable barrier returns the diagonal kind, whose factor is free and which
 never builds an n x n array. Other oracles return the dense kind, built by
 ``Barrier._finish``, which factors H; a product with a dense block assembles
-its H and L from the blocks'. ``contains(x)`` tests membership only. By
-default it is ``eval(x).in_interior``. An oracle may override it with a
-cheaper test, which must accept every point that ``eval`` finds interior.
-The solver only ever talks to cones through this interface, so adding a
-cone means adding one oracle class that implements ``_evaluate(x)``.
+its H and L from the blocks'. ``contains(x)`` answers membership alone,
+as ``eval(x).in_interior``. The solver only ever talks to cones through
+this interface, so adding a cone means adding one oracle class that
+implements ``_evaluate(x)``.
 
 Points on the cone boundary count as exterior; all membership tests use
 strict inequalities. A Hessian whose Cholesky factorization breaks down
@@ -91,21 +90,18 @@ class Barrier:
 
     def eval(self, x) -> BarrierEval:
         """Value, gradient and factored Hessian at x, or ``EXTERIOR``."""
-        x = self._point(x)
-        return EXTERIOR if x is None else self._evaluate(x)
-
-    def contains(self, x) -> bool:
-        """Whether x is strictly interior, as ``eval(x).in_interior``."""
-        return self.eval(x).in_interior
-
-    def _point(self, x) -> np.ndarray | None:
-        """x as a float array of the oracle's shape, or None if not finite."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.dim,):
             raise DimensionMismatch(
                 f"point has shape {x.shape}, oracle dimension is {self.dim}"
             )
-        return x if np.isfinite(x).all() else None
+        if not np.isfinite(x).all():
+            return EXTERIOR
+        return self._evaluate(x)
+
+    def contains(self, x) -> bool:
+        """Whether x is strictly interior, as ``eval(x).in_interior``."""
+        return self.eval(x).in_interior
 
     def _evaluate(self, x: np.ndarray) -> BarrierEval:
         raise NotImplementedError

@@ -39,15 +39,14 @@ class EDesignBarrier(Barrier):
     part p). There is no canonical interior point: it depends on V, so
     build_edesign supplies one.
 
-    Both queries run dense BLAS-3/LAPACK kernels, for V of size n x p.
-    ``contains`` runs only the membership test: after x > 0, it forms
-    M = (V sqrt(x))(V sqrt(x))' as a syrk (n^2 p flops) and its Cholesky
-    factor L by potrf (n^3/3). ``eval`` runs the same two kernels and stops
-    there at an exterior point. An interior point adds L^{-1} by trtri
-    (n^3/3), W = L^{-1} V and M^{-1} V = L^{-T} W as two gemms (2 n^2 p
-    each), and S = W'W and M^{-1} = L^{-T} L^{-1} as two syrks (n p^2 and
-    n^3); ``Barrier._finish`` then factors the (1+p) x (1+p) Hessian
-    ((1+p)^3/3).
+    One evaluation runs a few dense BLAS-3/LAPACK kernels, for V of size
+    n x p: M = (V sqrt(x))(V sqrt(x))' as a syrk (n^2 p flops), its Cholesky
+    factor L by potrf (n^3/3), and, if the point is exterior, nothing more.
+    An interior point adds L^{-1} by trtri (n^3/3), W = L^{-1} V and
+    M^{-1} V = L^{-T} W as two gemms (2 n^2 p each), and S = W'W and
+    M^{-1} = L^{-T} L^{-1} as two syrks (n p^2 and n^3); ``Barrier._finish``
+    then factors the (1+p) x (1+p) Hessian ((1+p)^3/3). ``contains`` is the
+    base class's ``eval(x).in_interior``.
     """
 
     def __init__(self, V):
@@ -60,32 +59,24 @@ class EDesignBarrier(Barrier):
         super().__init__(1 + p, nu=float(n + p))
         self.V = V
 
-    def contains(self, v) -> bool:
-        v = self._point(v)
-        return v is not None and self._factor(v) is not None
-
-    def _factor(self, v):
-        """Cholesky factor of V diag(x) V' - t I, or None when v = (t, x) is
-        not interior."""
-        t, x = v[0], v[1:]
-        if x.min() <= 0.0:
-            return None
-        Vs = self.V * np.sqrt(x)
-        M = Vs @ Vs.T
-        M[np.diag_indices(M.shape[0])] -= t
-        return try_chol(M)
-
     def _evaluate(self, v):
-        LM = self._factor(v)
+        V = self.V
+        n, p = V.shape
+        t = v[0]
+        x = v[1:]
+        if x.min() <= 0.0:
+            return EXTERIOR
+        Vs = V * np.sqrt(x)
+        M = Vs @ Vs.T
+        M[np.diag_indices(n)] -= t
+        LM = try_chol(M)
         if LM is None:
             return EXTERIOR
-        x = v[1:]
-        p = x.size
         Li, info = lapack.dtrtri(LM, lower=1)  # inverse of the factor
         if info != 0:
             return EXTERIOR
         value = -2.0 * np.log(np.diag(LM)).sum() - np.log(x).sum()
-        W = Li @ self.V
+        W = Li @ V
         gradient = np.empty(1 + p)
         gradient[0] = (Li * Li).sum()  # trace of M^{-1}
         gradient[1:] = -(W * W).sum(axis=0) - 1.0 / x
@@ -124,8 +115,6 @@ def build_edesign(V):
     if lam <= 0.0:
         raise ValueError("V must have full row rank (uniform design is singular)")
     x0 = np.concatenate([[0.5 * lam], x_uniform])
-    if not barrier.contains(x0):
-        raise ValueError("failed to construct an interior design start")
     return prob, barrier, x0
 
 
