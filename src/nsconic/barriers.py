@@ -8,10 +8,11 @@ lower Cholesky factor L, and forms L^{-1} A' for the Newton solve. A
 separable barrier returns the diagonal kind, whose factor is free and which
 never builds an n x n array. Other oracles return the dense kind, built by
 ``Barrier._finish``, which factors H; a product with a dense block assembles
-its H and L from the blocks'. ``contains(x)`` answers membership alone,
-as ``eval(x).in_interior``. The solver only ever talks to cones through
-this interface, so adding a cone means adding one oracle class that
-implements ``_evaluate(x)``.
+its H and L from the blocks', and a pullback takes its L from a QR of the
+inner factor. ``contains(x)`` answers membership alone, as
+``eval(x).in_interior``. The solver only ever talks to cones through this
+interface, so adding a cone means adding one oracle class that implements
+``_evaluate(x)``.
 
 Points on the cone boundary count as exterior; all membership tests use
 strict inequalities. A Hessian whose Cholesky factorization breaks down
@@ -249,6 +250,11 @@ def free_embedding(dim: int) -> SecondOrderBarrier:
     return SecondOrderBarrier(dim + 1)
 
 
+def _factor(h) -> np.ndarray:
+    """The dense lower factor L of a Hessian object."""
+    return np.diag(h.l) if isinstance(h, DiagonalHessian) else h.L
+
+
 class ProductBarrier(Barrier):
     """Direct product of barrier oracles laid out block by block.
 
@@ -291,9 +297,7 @@ class ProductBarrier(Barrier):
             hess = DiagonalHessian(np.concatenate([h.l for h in hs]))
             return BarrierEval(True, value, gradient, hess)
         hessian = block_diag(*(h.toarray() for h in hs))
-        chol = block_diag(
-            *(np.diag(h.l) if isinstance(h, DiagonalHessian) else h.L for h in hs)
-        )
+        chol = block_diag(*(_factor(h) for h in hs))
         return BarrierEval(True, value, gradient, DenseHessian(hessian, chol))
 
 
@@ -301,10 +305,13 @@ class PullbackBarrier(Barrier):
     """Barrier for the preimage {x : M x in K} of a cone under a linear map.
 
     Composition with an injective linear map preserves self-concordance and
-    the barrier parameter, so nu equals the inner oracle's. The value is the
-    inner barrier at M x, the gradient pulls back through M', and the
-    Hessian through M' H M. No canonical interior point exists in general;
-    pass ``initial_point`` explicitly if one is known.
+    the barrier parameter, so nu equals the inner oracle's; a map with a
+    non-finite entry or rank below its column count is rejected. The value
+    is the inner barrier at M x, the gradient pulls back through M', and the
+    Hessian through M' H M = G'G with G = L'M for the inner factor L, so
+    the factor is R' from a QR of G and cond(M' H M) is never squared. No
+    canonical interior point exists in general; pass ``initial_point``
+    explicitly if one is known.
     """
 
     def __init__(self, inner: Barrier, mat, initial_point=None):
@@ -313,6 +320,10 @@ class PullbackBarrier(Barrier):
             raise DimensionMismatch(
                 f"map has shape {mat.shape}, inner oracle dimension is {inner.dim}"
             )
+        if not np.isfinite(mat).all():
+            raise ValueError("map has non-finite entries")
+        if np.linalg.matrix_rank(mat) < mat.shape[1]:
+            raise ValueError("map is not injective: its rank is below its column count")
         super().__init__(mat.shape[1], nu=inner.nu, initial_point=initial_point)
         self.inner = inner
         self.mat = mat
@@ -321,13 +332,17 @@ class PullbackBarrier(Barrier):
                 raise ExteriorPointError("initial point maps outside the cone interior")
 
     def _evaluate(self, x):
-        y = self.mat @ x
-        ev = self.inner.eval(y)
+        ev = self.inner.eval(self.mat @ x)
         if not ev.in_interior:
             return EXTERIOR
         gradient = self.mat.T @ ev.gradient
-        hessian = self.mat.T @ ev.hessian.toarray() @ self.mat
-        return self._finish(ev.value, gradient, hessian)
+        G = _factor(ev.hessian).T @ self.mat
+        r = np.linalg.qr(G, mode="r")
+        # a Cholesky factor has a positive diagonal: flip R's rows to get one
+        chol = r.T * np.sign(np.diag(r))
+        if not (np.diag(chol) > 0.0).all():
+            return EXTERIOR
+        return BarrierEval(True, ev.value, gradient, DenseHessian(G.T @ G, chol))
 
 
 @dataclass(frozen=True)

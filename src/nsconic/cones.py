@@ -34,7 +34,6 @@ __all__ = [
     "ConeProduct",
     "block_oracle",
     "build_cones",
-    "default_x0",
     "embed_point",
     "strip_point",
     "lift",
@@ -152,15 +151,6 @@ def build_cones(specs) -> ConeProduct:
     )
 
 
-def default_x0(cp: ConeProduct) -> np.ndarray:
-    """Canonical interior start in internal coordinates.
-
-    Per block: lp all ones, socp (1, 0, ...), exp (2, 1, 0), gpow (ones, 0),
-    free (1, zeros) including the dummy.
-    """
-    return cp.oracle.initial_point
-
-
 def embed_point(cp: ConeProduct, x) -> np.ndarray:
     """Lift an ambient point, giving each free dummy a strictly feasible value."""
     x = np.asarray(x, dtype=np.float64)
@@ -214,7 +204,7 @@ def solve_cones(
     """
     cp = build_cones(cones)
     lifted = lift(ProblemData(A, b, c), cp)
-    start = default_x0(cp) if x0 is None else embed_point(cp, x0)
+    start = cp.oracle.initial_point if x0 is None else embed_point(cp, x0)
     result = solve(lifted, cp.oracle, start, options)
     if cp.dummy_positions:
         # dummies carry zero cost, so objectives are unaffected by the strip

@@ -241,8 +241,9 @@ def newton_solve(
         v1 = ninv(g1)
         dtau = (g2 - float(w_vec @ v1)) / den
         dy = v1 + dtau * v2
-        dx = hinv(r24 + A.matvec(dy, transpose=True) - c * dtau)
-        ds = -A.matvec(dy, transpose=True) + c * dtau - r2
+        aty = A.matvec(dy, transpose=True)
+        dx = hinv(r24 + aty - c * dtau)
+        ds = -aty + c * dtau - r2
         dkappa = float(b @ dy - c @ dx) - r3
         return Direction(dy, dx, dtau, ds, dkappa)
 

@@ -178,16 +178,12 @@ def _check_trsv(fac, rhs):
 def solve_lower(fac, rhs) -> np.ndarray:
     """Solve L w = rhs for a lower-triangular L (1-D or 2-D rhs)."""
     L, b = _check_trsv(fac, rhs)
-    if L.shape[0] == 0:
-        return b.copy()
     return solve_triangular(L, b, lower=True, check_finite=False)
 
 
 def solve_lower_t(fac, rhs) -> np.ndarray:
     """Solve L.T w = rhs for a lower-triangular L (1-D or 2-D rhs)."""
     L, b = _check_trsv(fac, rhs)
-    if L.shape[0] == 0:
-        return b.copy()
     return solve_triangular(L, b, lower=True, trans="T", check_finite=False)
 
 

@@ -8,12 +8,15 @@ right-hand side, cap the step at the tau/kappa boundary, then halve it
 until the trial point is interior and its proximity passes the caller's
 test. The accepted point's oracle result and proximity are carried
 forward, and each iterate's residuals are computed once and shared by the
-convergence test, the predictor and the history record. When the
-corrector fails, the predictor point is recorded as the iterate and goes
-through the convergence test; the failure ends the solve only if that
-point certifies nothing. The embedding makes infeasibility detection a
-byproduct: tau and kappa race each other, and whichever wins determines
-whether a solution or a Farkas certificate is returned.
+convergence test, the predictor, the history record and the result. When
+the corrector fails, the predictor point is recorded as the iterate and
+goes through the convergence test; the failure ends the solve only if that
+point certifies nothing. A point becomes the iterate only once it is
+recorded, so the returned point and its residual norms are always those of
+the last history record, also when a Newton system turns singular
+mid-iteration. The embedding makes infeasibility detection a byproduct:
+tau and kappa race each other, and whichever wins determines whether a
+solution or a Farkas certificate is returned.
 """
 
 from __future__ import annotations
@@ -232,15 +235,11 @@ def _classify(z, res, prob, nu, mu0, res0_norm, eps):
         return None
     b, c = prob.b, prob.c
     if z.kappa < z.tau and z.tau >= INFEAS_TOL * max(1.0, z.kappa):
-        xh = z.x / z.tau
-        yh = z.y / z.tau
-        sh = z.s / z.tau
-        p_obj = float(c @ xh)
-        d_obj = float(b @ yh)
-        rp = np.linalg.norm(prob.A.matvec(xh) - b) / (1.0 + np.linalg.norm(b))
-        rd = np.linalg.norm(
-            c - prob.A.matvec(yh, transpose=True) - sh
-        ) / (1.0 + np.linalg.norm(c))
+        # at (x, y, s) / tau the residuals are the embedding's over tau
+        rp = np.linalg.norm(res.primal) / z.tau / (1.0 + np.linalg.norm(b))
+        rd = np.linalg.norm(res.dual) / z.tau / (1.0 + np.linalg.norm(c))
+        p_obj = float(c @ z.x) / z.tau
+        d_obj = float(b @ z.y) / z.tau
         dgap = abs(p_obj - d_obj) / (1.0 + abs(d_obj))
         if max(rp, rd, dgap) <= eps:
             return SolverStatus.OPTIMAL
@@ -253,8 +252,7 @@ def _classify(z, res, prob, nu, mu0, res0_norm, eps):
     return None
 
 
-def _build_result(status, detail, z, prob, nu, history, t0):
-    res = residuals(z, prob)
+def _build_result(status, detail, z, res, prob, nu, history, t0):
     norms = {
         "primal": float(np.linalg.norm(res.primal)),
         "dual": float(np.linalg.norm(res.dual)),
@@ -343,15 +341,16 @@ def solve(
             if it == opts.max_iter:
                 status = SolverStatus.ITERATION_LIMIT
                 break
-            z, ev, alpha, prox = _predictor(prob, oracle, z, ev, res)
+            zt, ev, alpha, prox = _predictor(prob, oracle, z, ev, res)
             try:
-                z, ev, prox, ncorr = _corrector(prob, oracle, z, ev, prox)
+                zt, ev, prox, ncorr = _corrector(prob, oracle, zt, ev, prox)
             except LineSearchError as exc:
                 # centering can stall near the solution, where the predictor
                 # point may already certify: record that point and let the
                 # next _classify decide; if it certifies nothing, the failure
                 # is re-raised there
                 stalled, ncorr = exc, 0
+            z = zt
             res = residuals(z, prob)
             rec = IterationRecord(
                 iteration=it + 1,
@@ -373,7 +372,7 @@ def solve(
     except (LineSearchError, SingularSystemError) as exc:
         status = SolverStatus.NUMERICAL_ERROR
         detail = str(exc)
-    result = _build_result(status, detail, z, prob, nu, history, t0)
+    result = _build_result(status, detail, z, res, prob, nu, history, t0)
     if opts.verbose:
         print(f"status: {result.status.value} ({result.status_string})")
     return result

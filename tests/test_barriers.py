@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nsconic.barriers
 from nsconic.barriers import (
     ExponentialBarrier,
     ExteriorPointError,
@@ -393,3 +394,38 @@ def test_pullback_rejects_exterior_initial_point():
 def test_pullback_shape_validation():
     with pytest.raises(DimensionMismatch):
         PullbackBarrier(NonnegativeBarrier(2), np.eye(3))
+
+
+def test_pullback_rejects_a_map_it_cannot_use():
+    # rank 1 with 2 columns: every point would read as exterior
+    rank_one = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    with pytest.raises(ValueError, match="not injective"):
+        PullbackBarrier(NonnegativeBarrier(3), rank_one, initial_point=(1.0, 1.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        PullbackBarrier(NonnegativeBarrier(2), np.array([[1.0, 0.0], [np.nan, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "inner", [SecondOrderBarrier(4), ExponentialBarrier(), NonnegativeBarrier(3)]
+)
+def test_pullback_reuses_the_inner_factor(monkeypatch, inner):
+    # M'HM = G'G with G = L'M, so its factor comes from a QR of G and the
+    # only Cholesky factorization is the inner oracle's own; x = (1, 0.5)
+    # maps near the inner start, inside the cone
+    M = np.column_stack([inner.initial_point, 0.2 * np.arange(1.0, inner.dim + 1.0)])
+    pb = PullbackBarrier(inner, M)
+    x = np.array([1.0, 0.5])
+    calls = []
+    real = nsconic.barriers.try_chol
+    monkeypatch.setattr(
+        nsconic.barriers, "try_chol", lambda a: calls.append(a) or real(a)
+    )
+    ev = pb.eval(x)
+    expected = 0 if isinstance(inner, NonnegativeBarrier) else 1
+    assert len(calls) == expected
+    H, L = ev.hessian.toarray(), ev.hessian.L
+    np.testing.assert_array_equal(L, np.tril(L))
+    assert (np.diag(L) > 0.0).all()
+    assert np.linalg.norm(L @ L.T - H) <= 1e-12 * np.linalg.norm(H)
+    H_inner = inner.eval(M @ x).hessian.toarray()
+    np.testing.assert_allclose(H, M.T @ H_inner @ M, rtol=1e-10)

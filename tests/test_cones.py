@@ -7,7 +7,6 @@ from nsconic.cones import (
     ConeSpec,
     ConeSpecError,
     build_cones,
-    default_x0,
     embed_point,
     lift,
     solve_cones,
@@ -97,7 +96,7 @@ def test_default_x0_blocks():
             ConeSpec("free", 2),
         ]
     )
-    x0 = default_x0(cp)
+    x0 = cp.oracle.initial_point
     np.testing.assert_array_equal(
         x0,
         [1.0, 1.0]  # lp
@@ -114,7 +113,7 @@ def test_default_x0_gives_unit_gap():
     prob = ProblemData(
         np.ones((1, cp.internal_dim)), np.array([1.0]), np.zeros(cp.internal_dim)
     )
-    z = initial_iterate(prob, cp.oracle, default_x0(cp))
+    z = initial_iterate(prob, cp.oracle, cp.oracle.initial_point)
     assert abs(gap(z, cp.oracle.nu) - 1.0) <= 1e-14
 
 

@@ -15,7 +15,7 @@ import nsconic.solver
 from nsconic.cones import ConeSpec, solve_cones
 from nsconic.edesign import build_edesign, random_design_matrix
 from nsconic.generators import random_lp
-from nsconic.hsd import Iterate, ProblemData, gap, proximity
+from nsconic.hsd import Iterate, ProblemData, SingularSystemError, gap, proximity
 from nsconic.linalg import DimensionMismatch, SparseMatrix
 from nsconic.solver import (
     LineSearchError,
@@ -257,7 +257,8 @@ def test_residuals_computed_once_per_iterate(monkeypatch, case):
     _counting(monkeypatch, "residuals", calls)
     res = solve(prob, oracle, x0)
     assert res.iterations > 0
-    assert len(calls) <= res.iterations + 2
+    # once at the start and once per recorded iterate; the result reuses them
+    assert len(calls) == res.iterations + 1
 
 
 def test_proximity_evaluated_once_per_oracle_result(monkeypatch):
@@ -273,15 +274,15 @@ def test_proximity_evaluated_once_per_oracle_result(monkeypatch):
     assert len(calls) >= res.iterations
 
 
-def _corrector_failing_at(monkeypatch, call):
-    """Make the call-th corrector phase of the next solves raise."""
+def _corrector_failing_at(monkeypatch, call, error=None):
+    """Make the call-th corrector phase of the next solves raise error."""
     real = nsconic.solver._corrector
     count = [0]
 
     def failing(*args):
         count[0] += 1
         if count[0] == call:
-            raise LineSearchError("corrector step stalled")
+            raise error or LineSearchError("corrector step stalled")
         return real(*args)
 
     monkeypatch.setattr(nsconic.solver, "_corrector", failing)
@@ -305,6 +306,20 @@ def test_corrector_failure_short_of_certification_is_an_error(monkeypatch):
     res = solve(lp_problem(), NonnegativeBarrier(2))
     assert res.status is SolverStatus.NUMERICAL_ERROR
     assert "corrector step stalled" in res.status_string
+
+
+def test_singular_system_in_the_corrector_returns_the_last_recorded_iterate(
+    monkeypatch,
+):
+    # the unrecorded predictor point of the failing iteration is dropped, so
+    # the result reports the point of the last history record
+    _corrector_failing_at(monkeypatch, 4, SingularSystemError("singular"))
+    prob, x_hat = random_lp(10, 25, 0)
+    res = solve(prob, NonnegativeBarrier(25), x_hat)
+    assert res.status is SolverStatus.NUMERICAL_ERROR
+    assert res.iterations == len(res.history) == 3
+    assert res.residual_norms["primal"] == res.history[-1].primal_norm
+    assert res.residual_norms["mu"] == res.history[-1].mu
 
 
 def test_lp_solves_never_densify_A(monkeypatch):

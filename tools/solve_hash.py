@@ -7,9 +7,10 @@ Run it on two checkouts and compare the printed digests:
 The hashed solves are the ``lp_sparse`` instances of seed 7 (all four), the
 first two ``edesign`` instances of seed 7, the first two ``cone_blocks``
 instances of seed 5 (mixed products, so the dense block-diagonal Hessian
-path) and ``random_lp(20, 50, s)`` for s = 0..4. Each solve adds its status,
-its iteration count, every field of every ``IterationRecord`` (floats as
-``float.hex``), and the bytes of x and y. Instances come from
+path) and ``random_lp(20, 50, s)`` for s = 0..4. Each solve adds its status
+and status string, its iteration count, every field of every
+``IterationRecord``, tau, kappa, both objectives and the residual norms
+(floats as ``float.hex``), and the bytes of x, y and s. Instances come from
 ``bench/workloads.py``, read only. The script calls no more of nsconic than
 ``solve``, ``solve_cones`` and ``build_edesign``, so one copy of it runs on
 older checkouts too. BLAS is pinned to one thread, as in ``bench/run.py``.
@@ -67,10 +68,14 @@ def main() -> int:
     digest = hashlib.sha256()
     for name, res in _solves():
         digest.update(f"{name} {res.status.value} {res.iterations}\n".encode())
+        digest.update(f"{res.status_string}\n".encode())
         for rec in res.history:
             fields = dataclasses.astuple(rec)
             digest.update((" ".join(_field(v) for v in fields) + "\n").encode())
-        for arr in (res.x, res.y):
+        scalars = [res.tau, res.kappa, res.p_obj, res.d_obj]
+        scalars += [res.residual_norms[k] for k in sorted(res.residual_norms)]
+        digest.update((" ".join(_field(v) for v in scalars) + "\n").encode())
+        for arr in (res.x, res.y, res.s):
             digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
         print(f"{name}: {res.status.value}, {res.iterations} iterations", file=sys.stderr)
     print(digest.hexdigest())
