@@ -16,7 +16,7 @@ parameterized by barrier oracles rather than a fixed cone menu.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .barriers import Barrier, EXTERIOR
 from .hsd import ProblemData
@@ -43,14 +43,18 @@ class EDesignBarrier(Barrier):
     n x p: M = (V sqrt(x))(V sqrt(x))' as a syrk (n^2 p flops), its Cholesky
     factor L by potrf (n^3/3), and, if the point is exterior, nothing more.
     An interior point adds L^{-1} by trtri (n^3/3), W = L^{-1} V and
-    M^{-1} V = L^{-T} W as two gemms (2 n^2 p each), and S = W'W and
-    M^{-1} = L^{-T} L^{-1} as two syrks (n p^2 and n^3); ``Barrier._finish``
-    then factors the (1+p) x (1+p) Hessian ((1+p)^3/3). ``contains`` is the
-    base class's ``eval(x).in_interior``.
+    M^{-1} V = L^{-T} W as two trmms on the triangular inverse (n^2 p each),
+    S = W'W as a syrk written straight into the Hessian's x block (n p^2),
+    and M^{-1} = L^{-T} L^{-1} as a syrk (n^3); ``Barrier._finish`` then
+    factors the (1+p) x (1+p) Hessian ((1+p)^3/3), which is built in Fortran
+    order so that potrf copies it without a transpose. At n = 200, p = 400
+    that is about 115 MFlop per interior evaluation. V is kept once, in
+    Fortran order, the layout in which trmm overwrites its operand in place.
+    ``contains`` is the base class's ``eval(x).in_interior``.
     """
 
     def __init__(self, V):
-        V = np.asarray(V, dtype=np.float64)
+        V = np.asfortranarray(V, dtype=np.float64)
         if V.ndim != 2 or V.size == 0:
             raise ValueError("V must be a nonempty 2-D array")
         if not np.isfinite(V).all():
@@ -66,32 +70,40 @@ class EDesignBarrier(Barrier):
         x = v[1:]
         if x.min() <= 0.0:
             return EXTERIOR
-        Vs = V * np.sqrt(x)
-        M = Vs @ Vs.T
+        # one n x p buffer, Fortran-ordered like V, holds V diag(sqrt(x)), then
+        # W = L^{-1} V, then U = M^{-1} V, each overwritten in place by trmm
+        B = V * np.sqrt(x)
+        M = B @ B.T
         M[np.diag_indices(n)] -= t
         LM = try_chol(M)
         if LM is None:
             return EXTERIOR
-        Li, info = lapack.dtrtri(LM, lower=1)  # inverse of the factor
+        value = -2.0 * np.log(np.diag(LM)).sum() - np.log(x).sum()
+        Li, info = lapack.dtrtri(LM, lower=1, overwrite_c=1)  # inverse of the factor
         if info != 0:
             return EXTERIOR
-        value = -2.0 * np.log(np.diag(LM)).sum() - np.log(x).sum()
-        W = Li @ V
+        B[...] = V
+        W = blas.dtrmm(1.0, Li, B, lower=1, overwrite_b=1)
         gradient = np.empty(1 + p)
-        gradient[0] = (Li * Li).sum()  # trace of M^{-1}
-        gradient[1:] = -(W * W).sum(axis=0) - 1.0 / x
+        gradient[0] = np.einsum("ij,ij->", Li, Li)  # trace of M^{-1}
+        gradient[1:] = -np.einsum("ij,ij->j", W, W) - 1.0 / x
+        hessian = np.empty((1 + p, 1 + p), order="F")
+        hessian[:, 0] = 0.0
+        hessian[0, 1:] = 0.0
+        hxx = hessian[1:, 1:]
+        # S = W'W, S[i, j] = v_i' M^{-1} v_j, goes straight into the x block;
         # numpy runs W.T @ W as a syrk, so S and the Hessian are exactly symmetric
-        S = W.T @ W  # S[i, j] = v_i' M^{-1} v_j
+        np.matmul(W.T, W, out=hxx)
+        # squaring the whole contiguous buffer is faster than squaring the
+        # strided x block; the zeroed t row and column are filled in below
+        np.multiply(hessian, hessian, out=hessian)
+        hxx[np.diag_indices(p)] += 1.0 / (x * x)
         Minv = Li.T @ Li
-        U = Li.T @ W  # M^{-1} V
-        hessian = np.empty((1 + p, 1 + p))
-        hessian[0, 0] = (Minv * Minv).sum()
-        htx = -(U * U).sum(axis=0)
+        hessian[0, 0] = np.einsum("ij,ij->", Minv, Minv)
+        U = blas.dtrmm(1.0, Li, W, lower=1, trans_a=1, overwrite_b=1)
+        htx = -np.einsum("ij,ij->j", U, U)
         hessian[0, 1:] = htx
         hessian[1:, 0] = htx
-        hxx = hessian[1:, 1:]
-        np.multiply(S, S, out=hxx)
-        hxx[np.diag_indices(p)] += 1.0 / (x * x)
         return self._finish(value, gradient, hessian)
 
 

@@ -8,9 +8,11 @@ answer the same five operations with H = L L' for the factor L.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sps
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 __all__ = [
     "DimensionMismatch",
@@ -46,8 +48,10 @@ class SparseMatrix:
     """Real sparse matrix stored as canonical COO triplets with a CSC view.
 
     Input triplets may be unsorted and may contain duplicate ``(row, col)``
-    pairs; duplicates are summed during canonicalization. Matrix-vector
-    products run on the compressed-column view.
+    pairs; duplicates are summed during canonicalization, and entries that
+    are or sum to zero are dropped. Matrix-vector products run on the
+    compressed-column view and on its transpose, a compressed-row view of
+    A' built once, on first use, over the same arrays.
     """
 
     def __init__(self, nrows, ncols, rows, cols, vals):
@@ -67,7 +71,13 @@ class SparseMatrix:
             raise ValueError("matrix values must be finite")
         csc = sps.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)).tocsc()
         csc.sum_duplicates()
+        csc.eliminate_zeros()
         self._csc = csc
+
+    @cached_property
+    def _csr_t(self):
+        # A' as a CSR view over the CSC arrays, built on the first transposed product
+        return self._csc.T
 
     @classmethod
     def coerce(cls, A) -> "SparseMatrix":
@@ -113,7 +123,7 @@ class SparseMatrix:
                 f"operand has shape {v.shape}, expected ({n_expected},)"
             )
         if transpose:
-            return self._csc.T @ v
+            return self._csr_t @ v
         return self._csc @ v
 
     def toarray(self) -> np.ndarray:
@@ -175,16 +185,36 @@ def _check_trsv(fac, rhs):
     return L, b
 
 
+def _trsv(fac, rhs, trans: int) -> np.ndarray:
+    """Solve L w = rhs (trans 0) or L' w = rhs (trans 1) with LAPACK trtrs.
+
+    This is ``scipy.linalg.solve_triangular(L, rhs, lower=True, trans=trans,
+    check_finite=False)`` without its per-call validation, and gives the same
+    bits: trtrs reads Fortran order, so a C-ordered L is passed as the upper
+    triangular L' with the transpose flag flipped.
+    """
+    L, b = _check_trsv(fac, rhs)
+    if b.size == 0:  # LAPACK rejects a leading dimension of 0
+        return np.empty_like(b)
+    if L.flags.f_contiguous:
+        w, info = lapack.dtrtrs(L, b, lower=1, trans=trans)
+    else:
+        w, info = lapack.dtrtrs(L.T, b, lower=0, trans=1 - trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}"
+        )
+    return w
+
+
 def solve_lower(fac, rhs) -> np.ndarray:
     """Solve L w = rhs for a lower-triangular L (1-D or 2-D rhs)."""
-    L, b = _check_trsv(fac, rhs)
-    return solve_triangular(L, b, lower=True, check_finite=False)
+    return _trsv(fac, rhs, 0)
 
 
 def solve_lower_t(fac, rhs) -> np.ndarray:
     """Solve L.T w = rhs for a lower-triangular L (1-D or 2-D rhs)."""
-    L, b = _check_trsv(fac, rhs)
-    return solve_triangular(L, b, lower=True, trans="T", check_finite=False)
+    return _trsv(fac, rhs, 1)
 
 
 class DiagonalHessian:

@@ -209,21 +209,25 @@ def _reference_oracle(V, v):
 @pytest.mark.parametrize("n, p", [(1, 2), (3, 6), (8, 20), (30, 60)])
 def test_barrier_matches_inverse_formulas(n, p):
     # interior points and near-boundary ones, t = (1 - 1e-6) lambda_min, where
-    # M is nearly singular; forming M - t I loses about log10(kappa) digits
+    # M is nearly singular; forming M - t I loses about log10(kappa) digits.
+    # V is given C-ordered, F-ordered, as a strided view and as integers.
     rng = np.random.default_rng(100 + n)
     V = rng.standard_normal((n, p))
-    barrier = EDesignBarrier(V)
-    for frac in (None, None, None, 1.0 - 1e-6, 1.0 - 1e-6):
-        x = rng.uniform(0.2, 2.0, p)
-        lam = smallest_eigenvalue((V * x) @ V.T)
-        t = (rng.uniform(-1.0, 0.9) if frac is None else frac) * lam
-        v = np.concatenate([[t], x])
-        ev = barrier.eval(v)
-        assert ev.in_interior
-        value, gradient, hessian, kappa = _reference_oracle(V, v)
-        tol = 100.0 * np.finfo(float).eps * kappa
-        assert abs(ev.value - value) <= tol * max(1.0, abs(value))
-        assert np.linalg.norm(ev.gradient - gradient) <= tol * np.linalg.norm(gradient)
-        H = ev.hessian.toarray()
-        assert np.linalg.norm(H - hessian) <= tol * np.linalg.norm(hessian)
-        np.testing.assert_array_equal(H, H.T)
+    strided = np.repeat(V, 2, axis=1)[:, ::2]
+    for given in (V, np.asfortranarray(V), strided, np.rint(4.0 * V).astype(int)):
+        barrier = EDesignBarrier(given)
+        for frac in (None, None, None, 1.0 - 1e-6, 1.0 - 1e-6):
+            x = rng.uniform(0.2, 2.0, p)
+            lam = smallest_eigenvalue((given * x) @ given.T)
+            assert lam > 0.0
+            t = (rng.uniform(-1.0, 0.9) if frac is None else frac) * lam
+            v = np.concatenate([[t], x])
+            ev = barrier.eval(v)
+            assert ev.in_interior
+            value, gradient, hessian, kappa = _reference_oracle(given, v)
+            tol = 100.0 * np.finfo(float).eps * kappa
+            assert abs(ev.value - value) <= tol * max(1.0, abs(value))
+            assert np.linalg.norm(ev.gradient - gradient) <= tol * np.linalg.norm(gradient)
+            H = ev.hessian.toarray()
+            assert np.linalg.norm(H - hessian) <= tol * np.linalg.norm(hessian)
+            np.testing.assert_array_equal(H, H.T)

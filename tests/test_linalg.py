@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from scipy.linalg import solve_triangular
 
 from nsconic.linalg import (
     DenseHessian,
@@ -123,10 +124,52 @@ def test_solve_lower_matrix_rhs():
     np.testing.assert_allclose(L @ W, B, atol=1e-12)
 
 
+def _factors():
+    """(name, L) pairs: C-ordered tril factors and F-ordered potrf factors."""
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 7, 40):
+        yield f"tril-{n}", np.tril(rng.standard_normal((n, n))) + n * np.eye(n)
+        B = rng.standard_normal((n, n))
+        yield f"chol-{n}", try_chol(B @ B.T + n * np.eye(n))
+
+
+@pytest.mark.parametrize("solver, trans", [(solve_lower, "N"), (solve_lower_t, "T")])
+def test_trsv_matches_solve_triangular_bitwise(solver, trans):
+    rng = np.random.default_rng(19)
+    for name, L in _factors():
+        assert L.flags.c_contiguous if name.startswith("tril") else L.flags.f_contiguous
+        n = L.shape[0]
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3)),
+                    np.asfortranarray(rng.standard_normal((n, 2)))):
+            expected = solve_triangular(L, rhs, lower=True, trans=trans, check_finite=False)
+            got = solver(L, rhs)
+            assert got.shape == rhs.shape
+            np.testing.assert_array_equal(got, expected, err_msg=name)
+
+
+@pytest.mark.parametrize("solver", [solve_lower, solve_lower_t])
+def test_trsv_empty_and_singular(solver):
+    assert solver(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+    assert solver(np.zeros((0, 0)), np.zeros((0, 3))).shape == (0, 3)
+    assert solver(np.eye(2), np.zeros((2, 0))).shape == (2, 0)
+    L = np.tril(np.ones((3, 3)))
+    L[1, 1] = 0.0
+    for fac in (L, np.asfortranarray(L)):
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal 1"):
+            solver(fac, np.ones(3))
+
+
 def test_sparse_duplicates_summed():
     A = SparseMatrix(2, 2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, -1.0])
     assert A.nnz == 2
     np.testing.assert_allclose(A.toarray(), [[0.0, 5.0], [-1.0, 0.0]])
+
+
+def test_sparse_cancelling_duplicates_store_no_zeros():
+    A = SparseMatrix(2, 2, [0, 0, 1], [0, 0, 1], [1.0, -1.0, 0.0])
+    assert A.nnz == 0 == SparseMatrix.from_dense(np.zeros((2, 2))).nnz
+    assert all(part.size == 0 for part in A.triplets())
+    np.testing.assert_array_equal(A.matvec(np.ones(2), transpose=True), [0.0, 0.0])
 
 
 def test_sparse_matvec_hand_case():

@@ -1,8 +1,13 @@
-"""One SHA-256 over a fixed set of solves, to show a change is bit-identical.
+"""SHA-256 digests over a fixed set of solves, to show a change is bit-identical.
 
 Run it on two checkouts and compare the printed digests:
 
     python3 tools/solve_hash.py
+
+It prints one digest per family (``lp_sparse``, ``cone_blocks``,
+``edesign``, ``random_lp``), then the digest over all solves as its last
+line. A change that alters one family on purpose can show with the
+per-family lines that the others did not move.
 
 The hashed solves are the ``lp_sparse`` instances of seed 7 (all four), the
 first two ``edesign`` instances of seed 7, the first two ``cone_blocks``
@@ -64,20 +69,31 @@ def _field(value) -> str:
     return float(value).hex() if isinstance(value, float) else repr(value)
 
 
+def _chunks(name, res):
+    """The bytes one solve adds to the digests."""
+    yield f"{name} {res.status.value} {res.iterations}\n".encode()
+    yield f"{res.status_string}\n".encode()
+    for rec in res.history:
+        fields = dataclasses.astuple(rec)
+        yield (" ".join(_field(v) for v in fields) + "\n").encode()
+    scalars = [res.tau, res.kappa, res.p_obj, res.d_obj]
+    scalars += [res.residual_norms[k] for k in sorted(res.residual_norms)]
+    yield (" ".join(_field(v) for v in scalars) + "\n").encode()
+    for arr in (res.x, res.y, res.s):
+        yield np.ascontiguousarray(arr, dtype=np.float64).tobytes()
+
+
 def main() -> int:
     digest = hashlib.sha256()
+    families = {}
     for name, res in _solves():
-        digest.update(f"{name} {res.status.value} {res.iterations}\n".encode())
-        digest.update(f"{res.status_string}\n".encode())
-        for rec in res.history:
-            fields = dataclasses.astuple(rec)
-            digest.update((" ".join(_field(v) for v in fields) + "\n").encode())
-        scalars = [res.tau, res.kappa, res.p_obj, res.d_obj]
-        scalars += [res.residual_norms[k] for k in sorted(res.residual_norms)]
-        digest.update((" ".join(_field(v) for v in scalars) + "\n").encode())
-        for arr in (res.x, res.y, res.s):
-            digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        family = families.setdefault(name.split("/")[0], hashlib.sha256())
+        for chunk in _chunks(name, res):
+            digest.update(chunk)
+            family.update(chunk)
         print(f"{name}: {res.status.value}, {res.iterations} iterations", file=sys.stderr)
+    for family, fdigest in families.items():
+        print(f"{family}: {fdigest.hexdigest()}")
     print(digest.hexdigest())
     return 0
 
