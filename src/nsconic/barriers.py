@@ -37,6 +37,7 @@ __all__ = [
     "SecondOrderBarrier",
     "ExponentialBarrier",
     "PowerBarrier",
+    "power_weights",
     "ProductBarrier",
     "PullbackBarrier",
     "free_embedding",
@@ -188,6 +189,22 @@ class ExponentialBarrier(Barrier):
         return self._finish(value, gradient, hessian)
 
 
+def power_weights(weights, error: type[Exception] = ValueError) -> np.ndarray:
+    """Generalized power-cone weights as a 1-D float array.
+
+    Anything but a nonempty 1-D sequence of finite positive numbers summing
+    to 1 (within 1e-12) raises ``error``, whose message shows the weights.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    finite = w.ndim == 1 and w.size > 0 and np.isfinite(w).all()
+    if not (finite and w.min() > 0.0 and abs(w.sum() - 1.0) <= 1e-12):
+        raise error(
+            "power-cone weights must be a nonempty 1-D sequence of finite positive"
+            f" numbers summing to 1, got {weights!r}"
+        )
+    return w
+
+
 class PowerBarrier(Barrier):
     """Barrier for the generalized power cone over (x, z).
 
@@ -197,11 +214,7 @@ class PowerBarrier(Barrier):
     """
 
     def __init__(self, weights):
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("weights must be a nonempty 1-D sequence")
-        if w.min() <= 0.0 or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be positive and sum to 1")
+        w = power_weights(weights)
         n = w.size
         x0 = np.ones(n + 1)
         x0[-1] = 0.0
@@ -354,8 +367,8 @@ class FdCheckReport:
     grad_identity: float
     hess_identity: float
 
-    def ok(self, tol: float = 1e-5) -> bool:
-        return max(self.grad_err, self.hess_err) <= tol
+    def ok(self) -> bool:
+        return max(self.grad_err, self.hess_err) <= 1e-5
 
 
 def fd_check(oracle: Barrier, x) -> FdCheckReport:

@@ -23,7 +23,7 @@ from dataclasses import astuple
 import numpy as np
 
 from .barriers import FdCheckReport, NonnegativeBarrier, fd_check
-from .cones import ConeSpec, block_oracle, solve_cones
+from .cones import CONE_TYPES, ConeSpec, block_oracle, solve_cones
 from .edesign import build_edesign, random_design_matrix
 from .fileio import load_problem, save_problem, write_result
 from .generators import random_lp
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument(
         "--cone",
         required=True,
-        choices=["lp", "socp", "exp", "gpow", "free"],
+        choices=CONE_TYPES,
         help="barrier to check",
     )
     p_chk.add_argument(
@@ -107,10 +107,7 @@ def _make_options(args) -> SolverOptions:
 
 
 def _emit_result(result, args) -> int:
-    if args.output:
-        write_result(result, args.output)
-    else:
-        write_result(result, sys.stdout)
+    write_result(result, args.output or sys.stdout)
     return _EXIT_CODES[result.status]
 
 

@@ -23,6 +23,7 @@ from .barriers import (
     ProductBarrier,
     SecondOrderBarrier,
     free_embedding,
+    power_weights,
 )
 from .hsd import ProblemData
 from .linalg import DimensionMismatch, SparseMatrix, as_int
@@ -67,9 +68,7 @@ class ConeSpec:
         if self.type == "gpow":
             if lam is None:
                 raise ConeSpecError("gpow requires weights (lam)")
-            lam = tuple(float(v) for v in np.atleast_1d(np.asarray(lam, float)))
-            if min(lam) <= 0.0 or abs(sum(lam) - 1.0) > 1e-12:
-                raise ConeSpecError("gpow weights must be positive and sum to 1")
+            lam = tuple(map(float, power_weights(lam, ConeSpecError)))
             object.__setattr__(self, "lam", lam)
             expected = len(lam) + 1
             if self.dim is None:
@@ -184,9 +183,9 @@ def lift(prob: ProblemData, cp: ConeProduct) -> ProblemData:
         )
     if not cp.dummy_positions:
         return prob
-    rows, cols, vals = prob.A.triplets()
+    coo = prob.A.csc.tocoo()
     A_int = SparseMatrix(
-        prob.m, cp.internal_dim, rows, cp.ambient_to_internal[cols], vals
+        prob.m, cp.internal_dim, coo.row, cp.ambient_to_internal[coo.col], coo.data
     )
     c_int = np.zeros(cp.internal_dim)
     c_int[cp.ambient_to_internal] = prob.c

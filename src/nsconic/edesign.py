@@ -140,9 +140,8 @@ def random_design_matrix(n: int, p: int | None = None, seed: int = 0) -> np.ndar
 
 
 def smallest_eigenvalue(M) -> float:
-    """Smallest eigenvalue of a symmetric matrix (stacked input allowed)."""
-    vals = np.linalg.eigvalsh(M)
-    return vals[..., 0] if vals.ndim > 1 else float(vals[0])
+    """Smallest eigenvalue of one symmetric matrix."""
+    return float(np.linalg.eigvalsh(M)[0])
 
 
 def _compositions(total: int, parts: int):

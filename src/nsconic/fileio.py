@@ -128,6 +128,11 @@ def load_problem(path):
         raise ProblemFileError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"not valid JSON: {exc}") from None
+    return _parse_problem(data)
+
+
+def _parse_problem(data):
+    """Check a decoded problem document; returns (c, A, b, cones, x0-or-None)."""
     if not isinstance(data, dict):
         raise ProblemFileError("top level must be an object")
     unknown = set(data) - _TOP_FIELDS
@@ -157,23 +162,28 @@ def load_problem(path):
 
 
 def save_problem(path, c, A, b, cones, x0=None):
-    """Write a problem file; the exact inverse of load_problem."""
+    """Write a problem file that load_problem reads back to the same values.
+
+    The document first passes load_problem's checks, so data that
+    load_problem would reject raises ProblemFileError and nothing is written.
+    """
     A = SparseMatrix.coerce(A)
-    rows, cols, vals = A.triplets()
+    coo = A.csc.tocoo()
     doc = {
         "c": list(np.asarray(c, dtype=np.float64)),
         "b": list(np.asarray(b, dtype=np.float64)),
         "A": {
             "m": A.shape[0],
             "n": A.shape[1],
-            "rows": [int(i) for i in rows],
-            "cols": [int(j) for j in cols],
-            "vals": list(vals),
+            "rows": [int(i) for i in coo.row],
+            "cols": [int(j) for j in coo.col],
+            "vals": list(coo.data),
         },
         "cones": [_cone_entry(spec) for spec in cones],
     }
     if x0 is not None:
         doc["x0"] = list(np.asarray(x0, dtype=np.float64))
+    _parse_problem(doc)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -45,13 +45,13 @@ def as_int(value, name: str, error: type[Exception] = ValueError) -> int:
 
 
 class SparseMatrix:
-    """Real sparse matrix stored as canonical COO triplets with a CSC view.
+    """Real sparse matrix that holds its canonical scipy CSC form in ``csc``.
 
     Input triplets may be unsorted and may contain duplicate ``(row, col)``
     pairs; duplicates are summed during canonicalization, and entries that
-    are or sum to zero are dropped. Matrix-vector products run on the
-    compressed-column view and on its transpose, a compressed-row view of
-    A' built once, on first use, over the same arrays.
+    are or sum to zero are dropped. Matrix-vector products run on ``csc`` and
+    on its transpose, a compressed-row view of A' built once, on first use,
+    over the same arrays.
     """
 
     def __init__(self, nrows, ncols, rows, cols, vals):
@@ -69,65 +69,46 @@ class SparseMatrix:
                 raise DimensionMismatch("column index out of range")
         if not np.isfinite(vals).all():
             raise ValueError("matrix values must be finite")
+        # tocsc sorts the indices and sums duplicates
         csc = sps.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)).tocsc()
-        csc.sum_duplicates()
         csc.eliminate_zeros()
-        self._csc = csc
+        self.csc = csc
 
     @cached_property
     def _csr_t(self):
         # A' as a CSR view over the CSC arrays, built on the first transposed product
-        return self._csc.T
+        return self.csc.T
 
     @classmethod
     def coerce(cls, A) -> "SparseMatrix":
-        """Return A as a SparseMatrix: kept as is, or converted from scipy
-        sparse or dense input."""
+        """Return A as a SparseMatrix: kept as is, or converted from 2-D
+        scipy sparse or dense input."""
         if isinstance(A, cls):
             return A
-        if sps.issparse(A):
-            coo = A.tocoo()
-            return cls(coo.shape[0], coo.shape[1], coo.row, coo.col, coo.data)
-        return cls.from_dense(A)
-
-    @classmethod
-    def from_dense(cls, arr) -> "SparseMatrix":
-        arr = np.asarray(arr, dtype=np.float64)
+        arr = A if sps.issparse(A) else np.asarray(A, dtype=np.float64)
         if arr.ndim != 2:
-            raise DimensionMismatch("expected a 2-D array")
-        rows, cols = np.nonzero(arr)
-        return cls(arr.shape[0], arr.shape[1], rows, cols, arr[rows, cols])
+            raise DimensionMismatch(f"expected a 2-D array, got shape {arr.shape}")
+        coo = sps.coo_array(arr)
+        return cls(coo.shape[0], coo.shape[1], coo.row, coo.col, coo.data)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._csc.shape
-
-    @property
-    def nrows(self) -> int:
-        return self._csc.shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self._csc.shape[1]
-
-    @property
-    def nnz(self) -> int:
-        return self._csc.nnz
+        return self.csc.shape
 
     def matvec(self, v, transpose: bool = False) -> np.ndarray:
         """Return ``A @ v``, or ``A.T @ v`` when ``transpose`` is set."""
         v = np.asarray(v, dtype=np.float64)
-        n_expected = self.nrows if transpose else self.ncols
+        n_expected = self.shape[0 if transpose else 1]
         if v.shape != (n_expected,):
             raise DimensionMismatch(
                 f"operand has shape {v.shape}, expected ({n_expected},)"
             )
         if transpose:
             return self._csr_t @ v
-        return self._csc @ v
+        return self.csc @ v
 
     def toarray(self) -> np.ndarray:
-        return self._csc.toarray()
+        return self.csc.toarray()
 
     def scaled_transpose(self, d) -> sps.csr_matrix:
         """diag(d) A' as a scipy CSR matrix, built without densifying A.
@@ -135,20 +116,16 @@ class SparseMatrix:
         Row j of A' is column j of A, so the CSC arrays of A are the CSR
         arrays of A' and only the values need scaling.
         """
+        m, n = self.shape
         d = np.asarray(d, dtype=np.float64)
-        if d.shape != (self.ncols,):
-            raise DimensionMismatch(f"scaling has shape {d.shape}, expected ({self.ncols},)")
-        csc = self._csc
+        if d.shape != (n,):
+            raise DimensionMismatch(f"scaling has shape {d.shape}, expected ({n},)")
+        csc = self.csc
         data = csc.data * np.repeat(d, np.diff(csc.indptr))
-        return sps.csr_matrix((data, csc.indices, csc.indptr), shape=(self.ncols, self.nrows))
-
-    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Canonical (rows, cols, vals) with duplicates already summed."""
-        coo = self._csc.tocoo()
-        return coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data.copy()
+        return sps.csr_matrix((data, csc.indices, csc.indptr), shape=(n, m))
 
     def __repr__(self):
-        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
+        return f"SparseMatrix({self.shape[0]}x{self.shape[1]}, nnz={self.csc.nnz})"
 
 
 def _as_square(mat) -> np.ndarray:

@@ -182,12 +182,11 @@ def _step(prob, oracle, z, ev, rhs, accept):
     alpha = _boundary_cap(z, d)
     for _ in range(LS_MAX_STEPS):
         zt = z.step(d, alpha)
-        if zt.tau > 0.0 and zt.kappa > 0.0:
-            evt = oracle.eval(zt.x)
-            if evt.in_interior and gap(zt, nu) > 0.0:
-                prox = proximity(zt, evt, nu)
-                if accept(prox):
-                    return zt, evt, alpha, prox
+        evt = oracle.eval(zt.x)
+        if evt.in_interior and gap(zt, nu) > 0.0:
+            prox = proximity(zt, evt, nu)
+            if accept(prox):
+                return zt, evt, alpha, prox
         alpha *= LS_FACTOR
     return None
 
@@ -339,7 +338,6 @@ def solve(
             if stalled is not None:
                 raise stalled
             if it == opts.max_iter:
-                status = SolverStatus.ITERATION_LIMIT
                 break
             zt, ev, alpha, prox = _predictor(prob, oracle, z, ev, res)
             try:

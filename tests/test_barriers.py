@@ -165,8 +165,9 @@ def test_gpow_weight_validation():
         PowerBarrier([0.5, 0.6])
     with pytest.raises(ValueError):
         PowerBarrier([1.2, -0.2])
-    with pytest.raises(ValueError):
-        PowerBarrier([])
+    for bad in ([], [np.nan, 0.5], [np.inf, 0.5], [[0.5, 0.5]]):
+        with pytest.raises(ValueError, match="power-cone weights"):
+            PowerBarrier(bad)
 
 
 def test_free_embedding_shape():

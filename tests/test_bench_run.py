@@ -1,0 +1,34 @@
+"""The benchmark's own construction path, end to end.
+
+``bench/run.py`` builds each ``lp_sparse`` instance with the
+``SparseMatrix(m, n, rows, cols, vals)`` constructor, writes it with
+``save_problem``, reads it back with ``load_problem`` and solves it with
+``solve_cones``. A change to any of these that the benchmark relies on must
+fail here rather than only in a benchmark run.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_lp_sparse_benchmark_builds_loads_and_solves():
+    cmd = [
+        sys.executable,
+        str(ROOT / "bench" / "run.py"),
+        "--workload", "lp_sparse",
+        "--seed", "1",
+        "--seconds", "0.01",
+        "--trace", "0",
+    ]
+    # like bench/run.py, leave no bytecode cache inside bench/
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["correct"] is True
+    assert out["attempted"] == 4

@@ -9,6 +9,7 @@ import pytest
 
 import nsconic
 from nsconic.cli import main
+from nsconic.cones import CONE_TYPES
 from nsconic.fileio import load_problem
 
 
@@ -156,7 +157,7 @@ def test_edesign_command(capsys):
     assert doc["pObj"] < 0.0  # maximizing a positive eigenvalue
 
 
-@pytest.mark.parametrize("cone", ["lp", "socp", "exp", "gpow", "free"])
+@pytest.mark.parametrize("cone", CONE_TYPES)
 def test_check_barrier_passes_for_builtins(cone, capsys):
     assert main(["check-barrier", "--cone", cone]) == 0
     out = capsys.readouterr().out
@@ -178,6 +179,12 @@ def test_check_barrier_rejects_bad_weights(capsys):
     code = main(["check-barrier", "--cone", "gpow", "--lambda", "0.9", "0.9"])
     assert code == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_check_barrier_rejects_nan_weights(capsys):
+    code = main(["check-barrier", "--cone", "gpow", "--lambda", "nan", "0.5"])
+    assert code == 4
+    assert "power-cone weights" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,9 @@ def test_spec_validation_errors():
         ConeSpec("gpow", lam=(0.9, 0.2))
     with pytest.raises(ConeSpecError):
         ConeSpec("lp", 3, lam=(1.0,))
+    for bad in ([np.nan, 0.5], [np.inf, 0.5], [], [[0.5, 0.5]]):
+        with pytest.raises(ConeSpecError, match="power-cone weights"):
+            ConeSpec("gpow", lam=bad)
     with pytest.raises(ConeSpecError):
         build_cones([])
     for bad in (2.5, True, "2", np.bool_(True)):

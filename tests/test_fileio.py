@@ -169,6 +169,32 @@ def test_bad_cone_entries_rejected(tmp_path):
         load_problem(write_doc(tmp_path, doc))
 
 
+def test_nan_power_weights_rejected(tmp_path):
+    doc = minimal_doc()
+    doc["cones"] = [{"type": "gpow", "lambda": [float("nan"), 1.0]}]
+    doc["c"], doc["A"]["n"] = [1.0, 2.0, 0.0], 3
+    # Python's json writes and reads NaN, so only the weight check can reject it
+    with pytest.raises(ProblemFileError, match="cone 0: power-cone weights"):
+        load_problem(write_doc(tmp_path, doc))
+
+
+@pytest.mark.parametrize(
+    "c,cones,message",
+    [
+        ([1.0, 2.0, 3.0], [ConeSpec("lp", 2)], "c has 3 entries"),
+        ([1.0, np.nan], [ConeSpec("lp", 2)], "non-finite"),
+        ([1.0, 2.0], [ConeSpec("lp", 3)], "cone dims sum"),
+    ],
+    ids=["c-length", "c-nan", "cone-dims"],
+)
+def test_save_rejects_what_load_rejects(tmp_path, c, cones, message):
+    path = tmp_path / "bad.json"
+    A = SparseMatrix(1, 2, [0, 0], [0, 1], [1.0, 1.0])
+    with pytest.raises(ProblemFileError, match=message):
+        save_problem(path, c, A, [2.0], cones)
+    assert not path.exists()
+
+
 def test_bad_matrix_indices_rejected(tmp_path):
     doc = minimal_doc()
     doc["A"]["cols"] = [0, 5]

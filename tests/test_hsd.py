@@ -29,7 +29,7 @@ def predictor_rhs(z, prob):
 
 
 def test_problem_data_validation():
-    A = SparseMatrix.from_dense(np.eye(2))
+    A = SparseMatrix.coerce(np.eye(2))
     ProblemData(A, np.ones(2), np.ones(2))
     with pytest.raises(DimensionMismatch):
         ProblemData(A, np.ones(3), np.ones(2))

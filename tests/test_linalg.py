@@ -161,14 +161,22 @@ def test_trsv_empty_and_singular(solver):
 
 def test_sparse_duplicates_summed():
     A = SparseMatrix(2, 2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, -1.0])
-    assert A.nnz == 2
+    assert A.csc.nnz == 2
     np.testing.assert_allclose(A.toarray(), [[0.0, 5.0], [-1.0, 0.0]])
+
+
+def test_sparse_csc_is_canonical():
+    # unsorted triplets with a duplicate, given column by column in reverse
+    A = SparseMatrix(3, 2, [2, 0, 2, 1, 0], [1, 1, 1, 0, 0], [1.0, 2.0, 3.0, 4.0, 5.0])
+    np.testing.assert_array_equal(A.csc.indptr, [0, 2, 4])
+    np.testing.assert_array_equal(A.csc.indices, [0, 1, 0, 2])
+    np.testing.assert_array_equal(A.csc.data, [5.0, 4.0, 2.0, 4.0])
 
 
 def test_sparse_cancelling_duplicates_store_no_zeros():
     A = SparseMatrix(2, 2, [0, 0, 1], [0, 0, 1], [1.0, -1.0, 0.0])
-    assert A.nnz == 0 == SparseMatrix.from_dense(np.zeros((2, 2))).nnz
-    assert all(part.size == 0 for part in A.triplets())
+    assert A.csc.nnz == 0 == SparseMatrix.coerce(np.zeros((2, 2))).csc.nnz
+    assert A.csc.data.size == 0 == A.csc.indices.size
     np.testing.assert_array_equal(A.matvec(np.ones(2), transpose=True), [0.0, 0.0])
 
 
@@ -186,7 +194,7 @@ def test_sparse_matvec_matches_dense():
         m = int(rng.integers(0, 12))
         n = int(rng.integers(0, 12))
         dense = np.where(rng.random((m, n)) < 0.4, rng.standard_normal((m, n)), 0.0)
-        A = SparseMatrix.from_dense(dense)
+        A = SparseMatrix.coerce(dense)
         v = rng.standard_normal(n)
         u = rng.standard_normal(m)
         np.testing.assert_allclose(A.matvec(v), dense @ v, atol=1e-13)
@@ -219,24 +227,27 @@ def test_sparse_matvec_shape_check():
 def test_sparse_triplets_roundtrip():
     rng = np.random.default_rng(5)
     dense = np.where(rng.random((6, 9)) < 0.3, rng.standard_normal((6, 9)), 0.0)
-    A = SparseMatrix.from_dense(dense)
-    r, c, v = A.triplets()
-    B = SparseMatrix(6, 9, r, c, v)
+    A = SparseMatrix.coerce(dense)
+    coo = A.csc.tocoo()
+    B = SparseMatrix(6, 9, coo.row, coo.col, coo.data)
     np.testing.assert_array_equal(B.toarray(), A.toarray())
 
 
 def test_coerce_accepts_scipy_dense_and_own_type():
     dense = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, -3.0]])
-    own = SparseMatrix.from_dense(dense)
+    own = SparseMatrix.coerce(dense)
     assert SparseMatrix.coerce(own) is own
     for given in (dense, dense.tolist(), sps.csc_array(dense), sps.coo_matrix(dense)):
         np.testing.assert_array_equal(SparseMatrix.coerce(given).toarray(), dense)
+    for bad in (np.ones(3), [[[1.0]]], 2.0, sps.coo_array(np.ones(3))):
+        with pytest.raises(DimensionMismatch, match="2-D"):
+            SparseMatrix.coerce(bad)
 
 
 def test_scaled_transpose_matches_dense():
     rng = np.random.default_rng(13)
     dense = rng.standard_normal((4, 6)) * (rng.random((4, 6)) < 0.5)
-    A = SparseMatrix.from_dense(dense)
+    A = SparseMatrix.coerce(dense)
     d = rng.uniform(0.5, 2.0, 6)
     W = A.scaled_transpose(d)
     assert sps.issparse(W) and W.shape == (6, 4)
@@ -267,7 +278,7 @@ def test_hessian_operations_agree_with_the_array(kind):
     np.testing.assert_allclose(hess.solve(v), np.linalg.solve(H, v), rtol=1e-10)
     np.testing.assert_allclose(hess.half_solve(v), np.linalg.solve(L, v), rtol=1e-10)
     dense = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.5)
-    W = hess.half_solve_t(SparseMatrix.from_dense(dense))
+    W = hess.half_solve_t(SparseMatrix.coerce(dense))
     # the diagonal kind keeps A sparse, the dense kind cannot
     assert sps.issparse(W) == (kind == "diagonal")
     W = W.toarray() if sps.issparse(W) else W
