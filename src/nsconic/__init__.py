@@ -19,7 +19,6 @@ from .barriers import (
     PullbackBarrier,
     SecondOrderBarrier,
     fd_check,
-    free_embedding,
 )
 from .cones import ConeProduct, ConeSpec, ConeSpecError, build_cones, solve_cones
 from .edesign import (
@@ -75,7 +74,6 @@ __all__ = [
     "build_cones",
     "build_edesign",
     "fd_check",
-    "free_embedding",
     "grid_objective",
     "load_problem",
     "random_design_matrix",

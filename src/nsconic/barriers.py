@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag
 
-from .linalg import DenseHessian, DiagonalHessian, DimensionMismatch, try_chol
+from .linalg import DenseHessian, DiagonalHessian, DimensionMismatch, as_vector, try_chol
 
 __all__ = [
     "BarrierEval",
@@ -40,7 +40,6 @@ __all__ = [
     "power_weights",
     "ProductBarrier",
     "PullbackBarrier",
-    "free_embedding",
     "fd_check",
     "FdCheckReport",
     "ExteriorPointError",
@@ -92,11 +91,7 @@ class Barrier:
 
     def eval(self, x) -> BarrierEval:
         """Value, gradient and factored Hessian at x, or ``EXTERIOR``."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise DimensionMismatch(
-                f"point has shape {x.shape}, oracle dimension is {self.dim}"
-            )
+        x = as_vector(x, self.dim, "point")
         if not np.isfinite(x).all():
             return EXTERIOR
         return self._evaluate(x)
@@ -250,19 +245,6 @@ class PowerBarrier(Barrier):
         return self._finish(value, gradient, hessian)
 
 
-def free_embedding(dim: int) -> SecondOrderBarrier:
-    """Oracle for a block of ``dim`` free variables.
-
-    Free variables are handled by prepending one dummy coordinate and
-    restricting to a second-order cone one dimension up: the original block
-    is recovered as the trailing coordinates, and the dummy stays strictly
-    feasible along any bounded sequence. nu = 2 regardless of dim.
-    """
-    if dim < 1:
-        raise ValueError("free block must have positive dimension")
-    return SecondOrderBarrier(dim + 1)
-
-
 def _factor(h) -> np.ndarray:
     """The dense lower factor L of a Hessian object."""
     return np.diag(h.l) if isinstance(h, DiagonalHessian) else h.L
@@ -275,7 +257,8 @@ class ProductBarrier(Barrier):
     block diagonal, nu adds. The product point is interior exactly when
     every block is. When every block's Hessian is diagonal the product's is
     too (the factor diagonals concatenate); otherwise the block-diagonal H
-    and L are assembled densely.
+    and L are assembled densely. Factor i occupies coordinates
+    ``offsets[i]:offsets[i + 1]``.
     """
 
     def __init__(self, factors):
@@ -289,11 +272,11 @@ class ProductBarrier(Barrier):
             init = np.concatenate(inits)
         super().__init__(sum(dims), nu=sum(f.nu for f in factors), initial_point=init)
         self.factors = factors
-        self._offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+        self.offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
 
     def blocks(self, v: np.ndarray) -> list[np.ndarray]:
         """Split a product-space vector into per-factor blocks."""
-        o = self._offsets
+        o = self.offsets
         return [v[o[i] : o[i + 1]] for i in range(len(self.factors))]
 
     def _evaluate(self, x):

@@ -11,7 +11,7 @@ Subcommands:
   barrier at seeded interior points.
 
 Exit codes: 0 optimal, 2 infeasibility certified, 3 iteration limit,
-4 input error, 5 numerical error.
+4 input error or unwritable output path, 5 numerical error.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ def main(argv=None) -> int:
         if args.command == "edesign":
             return _cmd_edesign(args)
         return _cmd_check_barrier(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -22,11 +22,10 @@ from .barriers import (
     PowerBarrier,
     ProductBarrier,
     SecondOrderBarrier,
-    free_embedding,
     power_weights,
 )
 from .hsd import ProblemData
-from .linalg import DimensionMismatch, SparseMatrix, as_int
+from .linalg import DimensionMismatch, SparseMatrix, as_int, as_vector
 from .solver import SolverOptions, SolverResult, solve
 
 __all__ = [
@@ -93,7 +92,7 @@ class ConeSpec:
 def block_oracle(spec: ConeSpec) -> Barrier:
     """The barrier of one cone block (a free block gets its Lorentz embedding)."""
     if spec.type == "free":
-        return free_embedding(spec.dim)
+        return SecondOrderBarrier(spec.dim + 1)
     if spec.type == "lp":
         return NonnegativeBarrier(spec.dim)
     if spec.type == "socp":
@@ -127,36 +126,23 @@ def build_cones(specs) -> ConeProduct:
     )
     if not specs:
         raise ConeSpecError("cone list is empty")
-    factors = []
-    ambient_map: list[int] = []
-    dummies: list[int] = []
-    internal = 0
-    for spec in specs:
-        factors.append(block_oracle(spec))
-        if spec.type == "free":
-            dummies.append(internal)
-            internal += 1
-        ambient_map.extend(range(internal, internal + spec.dim))
-        internal += spec.dim
-    oracle = ProductBarrier(factors)
-    assert oracle.dim == internal
+    oracle = ProductBarrier(block_oracle(spec) for spec in specs)
+    # each free block's dummy is the first coordinate of its Lorentz block
+    dummies = oracle.offsets[:-1][[spec.type == "free" for spec in specs]]
+    ambient_to_internal = np.setdiff1d(np.arange(oracle.dim), dummies)
     return ConeProduct(
         specs=specs,
-        ambient_dim=len(ambient_map),
-        internal_dim=internal,
-        dummy_positions=tuple(dummies),
-        ambient_to_internal=np.asarray(ambient_map, dtype=np.int64),
+        ambient_dim=ambient_to_internal.size,
+        internal_dim=oracle.dim,
+        dummy_positions=tuple(dummies.tolist()),
+        ambient_to_internal=ambient_to_internal,
         oracle=oracle,
     )
 
 
 def embed_point(cp: ConeProduct, x) -> np.ndarray:
     """Lift an ambient point, giving each free dummy a strictly feasible value."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (cp.ambient_dim,):
-        raise DimensionMismatch(
-            f"point has shape {x.shape}, ambient dimension is {cp.ambient_dim}"
-        )
+    x = as_vector(x, cp.ambient_dim, "point")
     v = np.zeros(cp.internal_dim)
     v[cp.ambient_to_internal] = x
     for spec, block in zip(cp.specs, cp.oracle.blocks(v)):
@@ -167,12 +153,7 @@ def embed_point(cp: ConeProduct, x) -> np.ndarray:
 
 def strip_point(cp: ConeProduct, v) -> np.ndarray:
     """Drop dummy coordinates, returning the ambient point."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (cp.internal_dim,):
-        raise DimensionMismatch(
-            f"point has shape {v.shape}, internal dimension is {cp.internal_dim}"
-        )
-    return v[cp.ambient_to_internal].copy()
+    return as_vector(v, cp.internal_dim, "point")[cp.ambient_to_internal]
 
 
 def lift(prob: ProblemData, cp: ConeProduct) -> ProblemData:

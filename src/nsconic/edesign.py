@@ -27,7 +27,6 @@ __all__ = [
     "build_edesign",
     "random_design_matrix",
     "grid_objective",
-    "smallest_eigenvalue",
 ]
 
 
@@ -123,7 +122,7 @@ def build_edesign(V):
     c[0] = -1.0
     prob = ProblemData(A, b, c)
     x_uniform = np.full(p, 1.0 / p)
-    lam = smallest_eigenvalue((V * x_uniform) @ V.T)
+    lam = np.linalg.eigvalsh((V * x_uniform) @ V.T)[0]
     if lam <= 0.0:
         raise ValueError("V must have full row rank (uniform design is singular)")
     x0 = np.concatenate([[0.5 * lam], x_uniform])
@@ -137,11 +136,6 @@ def random_design_matrix(n: int, p: int | None = None, seed: int = 0) -> np.ndar
     if n < 1 or p < n:
         raise ValueError("need p >= n >= 1")
     return np.random.default_rng(seed).standard_normal((n, p))
-
-
-def smallest_eigenvalue(M) -> float:
-    """Smallest eigenvalue of one symmetric matrix."""
-    return float(np.linalg.eigvalsh(M)[0])
 
 
 def _compositions(total: int, parts: int):

@@ -21,7 +21,6 @@ exactly (Python's JSON writer emits shortest full-precision reprs).
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -46,6 +45,18 @@ _TOP_FIELDS = {"c", "b", "A", "cones", "x0"}
 _REQUIRED = {"c", "b", "A", "cones"}
 _A_FIELDS = {"m", "n", "rows", "cols", "vals"}
 _CONE_FIELDS = {"type", "dim", "lambda"}
+
+
+def _check_fields(obj, allowed, required, where) -> None:
+    """Reject a non-object, fields outside ``allowed`` and absent ``required``."""
+    if not isinstance(obj, dict):
+        raise ProblemFileError(f"{where} must be an object")
+    unknown = set(obj) - allowed
+    if unknown:
+        raise ProblemFileError(f"unknown field(s) in {where}: {sorted(unknown)}")
+    missing = required - set(obj)
+    if missing:
+        raise ProblemFileError(f"missing field(s) in {where}: {sorted(missing)}")
 
 
 def _real_array(obj, name) -> np.ndarray:
@@ -73,19 +84,11 @@ def _index_array(obj, name) -> np.ndarray:
     raise ProblemFileError(f"field {name!r} must hold integers")
 
 
-def _parse_matrix(block) -> SparseMatrix:
-    if not isinstance(block, dict):
-        raise ProblemFileError('"A" must be an object')
-    unknown = set(block) - _A_FIELDS
-    if unknown:
-        raise ProblemFileError(f'unknown field(s) in "A": {sorted(unknown)}')
-    missing = _A_FIELDS - set(block)
-    if missing:
-        raise ProblemFileError(f'missing field(s) in "A": {sorted(missing)}')
+def _parse_matrix(block, m, n) -> SparseMatrix:
     try:
         return SparseMatrix(
-            as_int(block["m"], "field 'm'"),
-            as_int(block["n"], "field 'n'"),
+            m,
+            n,
             _index_array(block["rows"], "rows"),
             _index_array(block["cols"], "cols"),
             np.asarray(block["vals"], dtype=np.float64),
@@ -99,13 +102,7 @@ def _parse_cones(entries) -> list[ConeSpec]:
         raise ProblemFileError('"cones" must be a nonempty array')
     specs = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ProblemFileError(f"cone {i} must be an object")
-        unknown = set(entry) - _CONE_FIELDS
-        if unknown:
-            raise ProblemFileError(f"unknown field(s) in cone {i}: {sorted(unknown)}")
-        if "type" not in entry:
-            raise ProblemFileError(f"cone {i} is missing its type")
+        _check_fields(entry, _CONE_FIELDS, {"type"}, f"cone {i}")
         try:
             specs.append(
                 ConeSpec(
@@ -126,6 +123,8 @@ def load_problem(path):
             data = json.load(fh)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError(f"not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"not valid JSON: {exc}") from None
     return _parse_problem(data)
@@ -133,22 +132,18 @@ def load_problem(path):
 
 def _parse_problem(data):
     """Check a decoded problem document; returns (c, A, b, cones, x0-or-None)."""
-    if not isinstance(data, dict):
-        raise ProblemFileError("top level must be an object")
-    unknown = set(data) - _TOP_FIELDS
-    if unknown:
-        raise ProblemFileError(f"unknown field(s): {sorted(unknown)}")
-    missing = _REQUIRED - set(data)
-    if missing:
-        raise ProblemFileError(f"missing field(s): {sorted(missing)}")
-    A = _parse_matrix(data["A"])
+    _check_fields(data, _TOP_FIELDS, _REQUIRED, "top level")
+    _check_fields(data["A"], _A_FIELDS, _A_FIELDS, '"A"')
+    m = as_int(data["A"]["m"], "field 'm'", ProblemFileError)
+    n = as_int(data["A"]["n"], "field 'n'", ProblemFileError)
     c = _real_array(data["c"], "c")
     b = _real_array(data["b"], "b")
-    m, n = A.shape
+    # sizes are checked against the vectors before the matrix allocates for them
     if c.shape != (n,):
         raise ProblemFileError(f"c has {c.size} entries, A has {n} columns")
     if b.shape != (m,):
         raise ProblemFileError(f"b has {b.size} entries, A has {m} rows")
+    A = _parse_matrix(data["A"], m, n)
     cones = _parse_cones(data["cones"])
     total = sum(spec.dim for spec in cones)
     if total != n:
@@ -184,9 +179,7 @@ def save_problem(path, c, A, b, cones, x0=None):
     if x0 is not None:
         doc["x0"] = list(np.asarray(x0, dtype=np.float64))
     _parse_problem(doc)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def _cone_entry(spec) -> dict:
@@ -217,11 +210,14 @@ def result_document(result: SolverResult) -> dict:
 
 def write_result(result: SolverResult, dest) -> None:
     """Write the result document as JSON to a path or open text file."""
-    doc = result_document(result)
-    if hasattr(dest, "write"):
-        json.dump(doc, dest, indent=2)
-        dest.write("\n")
-    else:
-        with open(Path(dest), "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    _write_json(result_document(result), dest)
+
+
+def _write_json(doc, dest) -> None:
+    """Write doc as indented JSON and a newline to a path or open text file."""
+    if not hasattr(dest, "write"):
+        with open(dest, "w", encoding="utf-8") as fh:
+            _write_json(doc, fh)
+        return
+    json.dump(doc, dest, indent=2)
+    dest.write("\n")

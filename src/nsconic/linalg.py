@@ -17,6 +17,7 @@ from scipy.linalg import lapack
 __all__ = [
     "DimensionMismatch",
     "as_int",
+    "as_vector",
     "SparseMatrix",
     "try_chol",
     "solve_lower",
@@ -42,6 +43,14 @@ def as_int(value, name: str, error: type[Exception] = ValueError) -> int:
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+def as_vector(v, n: int, what: str) -> np.ndarray:
+    """v as a float64 array of shape (n,); DimensionMismatch names ``what``."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (n,):
+        raise DimensionMismatch(f"{what} has shape {v.shape}, expected ({n},)")
+    return v
 
 
 class SparseMatrix:
@@ -97,12 +106,7 @@ class SparseMatrix:
 
     def matvec(self, v, transpose: bool = False) -> np.ndarray:
         """Return ``A @ v``, or ``A.T @ v`` when ``transpose`` is set."""
-        v = np.asarray(v, dtype=np.float64)
-        n_expected = self.shape[0 if transpose else 1]
-        if v.shape != (n_expected,):
-            raise DimensionMismatch(
-                f"operand has shape {v.shape}, expected ({n_expected},)"
-            )
+        v = as_vector(v, self.shape[0 if transpose else 1], "operand")
         if transpose:
             return self._csr_t @ v
         return self.csc @ v
@@ -117,9 +121,7 @@ class SparseMatrix:
         arrays of A' and only the values need scaling.
         """
         m, n = self.shape
-        d = np.asarray(d, dtype=np.float64)
-        if d.shape != (n,):
-            raise DimensionMismatch(f"scaling has shape {d.shape}, expected ({n},)")
+        d = as_vector(d, n, "scaling")
         csc = self.csc
         data = csc.data * np.repeat(d, np.diff(csc.indptr))
         return sps.csr_matrix((data, csc.indices, csc.indptr), shape=(n, m))

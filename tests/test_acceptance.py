@@ -26,14 +26,10 @@ from nsconic.barriers import (
     PullbackBarrier,
     SecondOrderBarrier,
     fd_check,
-    free_embedding,
 )
 from nsconic.cli import main
-from nsconic.edesign import (
-    build_edesign,
-    random_design_matrix,
-    smallest_eigenvalue,
-)
+from nsconic.cones import ConeSpec, block_oracle
+from nsconic.edesign import build_edesign, random_design_matrix
 from nsconic.generators import random_lp
 from nsconic.hsd import NewtonRhs, ProblemData, gap, newton_solve, proximity, residuals
 from nsconic.solver import SolverOptions, SolverStatus, initial_iterate, solve
@@ -65,7 +61,7 @@ def sample_gpow(weights, rng):
 
 def sample_edesign(V, rng):
     x = rng.uniform(0.5, 2.0, V.shape[1])
-    t = rng.uniform(0.1, 0.8) * smallest_eigenvalue((V * x) @ V.T)
+    t = rng.uniform(0.1, 0.8) * np.linalg.eigvalsh((V * x) @ V.T)[0]
     return np.concatenate([[t], x])
 
 
@@ -161,7 +157,7 @@ def test_criterion_2_initialization_on_central_path():
         ExponentialBarrier(),
         PowerBarrier([0.5, 0.5]),
         PowerBarrier([0.25, 0.75]),
-        free_embedding(3),
+        block_oracle(ConeSpec("free", 3)),
         ProductBarrier(
             [NonnegativeBarrier(2), SecondOrderBarrier(3), ExponentialBarrier()]
         ),

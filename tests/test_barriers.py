@@ -11,8 +11,8 @@ from nsconic.barriers import (
     PullbackBarrier,
     SecondOrderBarrier,
     fd_check,
-    free_embedding,
 )
+from nsconic.cones import ConeSpec, block_oracle
 from nsconic.edesign import EDesignBarrier
 from nsconic.linalg import DenseHessian, DiagonalHessian, DimensionMismatch
 
@@ -46,7 +46,7 @@ def sample_gpow(weights, rng):
 
 def oracle_cases():
     """(name, oracle, sampler) triples covering every built-in barrier."""
-    rng_free = free_embedding(3)
+    rng_free = block_oracle(ConeSpec("free", 3))
     cases = [
         ("nonneg5", NonnegativeBarrier(5), lambda r: sample_nonneg(5, r)),
         ("soc2", SecondOrderBarrier(2), lambda r: sample_soc(2, r)),
@@ -171,7 +171,7 @@ def test_gpow_weight_validation():
 
 
 def test_free_embedding_shape():
-    b = free_embedding(6)
+    b = block_oracle(ConeSpec("free", 6))
     assert b.dim == 7
     assert b.nu == 2.0
     x0 = b.initial_point

@@ -1,10 +1,11 @@
-"""The benchmark's own construction path, end to end.
+"""The benchmark's own construction paths, end to end.
 
 ``bench/run.py`` builds each ``lp_sparse`` instance with the
 ``SparseMatrix(m, n, rows, cols, vals)`` constructor, writes it with
 ``save_problem``, reads it back with ``load_problem`` and solves it with
-``solve_cones``. A change to any of these that the benchmark relies on must
-fail here rather than only in a benchmark run.
+``solve_cones``. Each ``edesign`` instance is built by ``build_edesign`` and
+solved with ``solve``. A change to any of these that the benchmark relies on
+must fail here rather than only in a benchmark run.
 """
 
 import json
@@ -16,11 +17,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_lp_sparse_benchmark_builds_loads_and_solves():
+def run_benchmark(workload):
     cmd = [
         sys.executable,
         str(ROOT / "bench" / "run.py"),
-        "--workload", "lp_sparse",
+        "--workload", workload,
         "--seed", "1",
         "--seconds", "0.01",
         "--trace", "0",
@@ -29,6 +30,16 @@ def test_lp_sparse_benchmark_builds_loads_and_solves():
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_lp_sparse_benchmark_builds_loads_and_solves():
+    out = run_benchmark("lp_sparse")
     assert out["correct"] is True
     assert out["attempted"] == 4
+
+
+def test_edesign_benchmark_builds_and_solves():
+    out = run_benchmark("edesign")
+    assert out["correct"] is True
+    assert out["attempted"] == 6

@@ -98,6 +98,14 @@ def test_input_errors_exit_4(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flag", ["--output", "--emit"])
+def test_unwritable_path_exits_4(tmp_path, capsys, flag):
+    dest = tmp_path / "no-such-dir" / "out.json"
+    assert main(["random-lp", "--m", "3", "--n", "6", flag, str(dest)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(dest) in err
+
+
 def test_non_integral_field_exits_4_and_names_it(tmp_path, capsys):
     doc = lp_doc()
     doc["A"]["rows"] = [0.7, 0]

@@ -267,3 +267,42 @@ def test_nu_and_dims_additive_over_random_lists():
         assert cp.ambient_dim == expected_ambient
         assert cp.internal_dim == expected_ambient + n_free
         assert len(cp.dummy_positions) == n_free
+
+
+def loop_layout(specs):
+    """The layout built coordinate by coordinate: each free block gets its
+    dummy first, then its own coordinates."""
+    ambient_map, dummies, internal = [], [], 0
+    for spec in specs:
+        if spec.type == "free":
+            dummies.append(internal)
+            internal += 1
+        ambient_map.extend(range(internal, internal + spec.dim))
+        internal += spec.dim
+    return tuple(dummies), np.asarray(ambient_map, dtype=np.int64)
+
+
+def test_layout_matches_the_explicit_loop():
+    rng = np.random.default_rng(12)
+    fixed = [
+        ["free", "lp"],  # free block first
+        ["lp", "free"],  # free block last
+        ["free", "free"],  # adjacent free blocks
+        ["socp", "free", "free", "exp", "free"],
+    ]
+    drawn = [
+        list(rng.choice(["free", "free", "lp", "socp", "exp"], int(rng.integers(1, 7))))
+        for _ in range(200)
+    ]
+    for types in fixed + drawn:
+        specs = [
+            ConeSpec(t, 3 if t == "exp" else int(rng.integers(2, 5))) for t in types
+        ]
+        dummies, ambient_map = loop_layout(specs)
+        cp = build_cones(specs)
+        assert cp.dummy_positions == dummies
+        assert all(type(d) is int for d in cp.dummy_positions)
+        assert cp.ambient_to_internal.dtype == np.int64
+        np.testing.assert_array_equal(cp.ambient_to_internal, ambient_map)
+        assert cp.ambient_dim == len(ambient_map)
+        assert cp.internal_dim == len(ambient_map) + len(dummies)

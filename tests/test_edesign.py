@@ -7,7 +7,6 @@ from nsconic.edesign import (
     build_edesign,
     grid_objective,
     random_design_matrix,
-    smallest_eigenvalue,
 )
 from nsconic.solver import SolverOptions, SolverStatus, solve
 
@@ -16,7 +15,7 @@ def sample_design_point(V, rng):
     """Interior (t, x): random positive weights, t below lambda_min."""
     n, p = V.shape
     x = rng.uniform(0.5, 2.0, p)
-    lam = smallest_eigenvalue((V * x) @ V.T)
+    lam = np.linalg.eigvalsh((V * x) @ V.T)[0]
     assert lam > 0.0
     t = rng.uniform(0.1, 0.9) * lam
     return np.concatenate([[t], x])
@@ -102,7 +101,7 @@ def test_build_edesign_structure():
     assert prob.c == pytest.approx([-1.0, 0.0, 0.0, 0.0])
     assert x0[1:] == pytest.approx([1.0 / 3.0] * 3)
     uniform_info = (V * x0[1:]) @ V.T
-    assert x0[0] == pytest.approx(0.5 * smallest_eigenvalue(uniform_info))
+    assert x0[0] == pytest.approx(0.5 * np.linalg.eigvalsh(uniform_info)[0])
     assert barrier.contains(x0)
 
 
@@ -120,15 +119,6 @@ def test_random_design_matrix():
         random_design_matrix(0)
     with pytest.raises(ValueError):
         random_design_matrix(4, 3)
-
-
-def test_smallest_eigenvalue_closed_form_2x2():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        a, b, c = rng.uniform(-2.0, 2.0, 3)
-        M = np.array([[a, b], [b, c]])
-        expected = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
-        assert smallest_eigenvalue(M) == pytest.approx(expected, abs=1e-12)
 
 
 def test_solver_identity_design():
@@ -218,7 +208,7 @@ def test_barrier_matches_inverse_formulas(n, p):
         barrier = EDesignBarrier(given)
         for frac in (None, None, None, 1.0 - 1e-6, 1.0 - 1e-6):
             x = rng.uniform(0.2, 2.0, p)
-            lam = smallest_eigenvalue((given * x) @ given.T)
+            lam = np.linalg.eigvalsh((given * x) @ given.T)[0]
             assert lam > 0.0
             t = (rng.uniform(-1.0, 0.9) if frac is None else frac) * lam
             v = np.concatenate([[t], x])

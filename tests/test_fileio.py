@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sps
 
+import nsconic.fileio
 from nsconic.cones import ConeSpec, solve_cones
 from nsconic.hsd import ProblemData
 from nsconic.fileio import (
@@ -100,19 +102,25 @@ def test_scipy_sparse_matrix_accepted(tmp_path):
     np.testing.assert_array_equal(A2.toarray(), dense)
 
 
+def field_error(message):
+    """The whole ProblemFileError message, as a pattern for pytest.raises."""
+    return f"^{re.escape(message)}$"
+
+
 @pytest.mark.parametrize(
-    "mutate",
+    "mutate,message",
     [
-        lambda d: d.update(extra=1),
-        lambda d: d["A"].update(layout="csr"),
-        lambda d: d["cones"][0].update(weight=2),
+        (lambda d: d.update(extra=1), "in top level: ['extra']"),
+        (lambda d: d["A"].update(layout="csr"), "in \"A\": ['layout']"),
+        (lambda d: d["cones"][0].update(weight=2), "in cone 0: ['weight']"),
     ],
     ids=["top", "matrix", "cone"],
 )
-def test_unknown_fields_rejected(tmp_path, mutate):
+def test_unknown_fields_rejected(tmp_path, mutate, message):
     doc = minimal_doc()
     mutate(doc)
-    with pytest.raises(ProblemFileError, match="unknown field"):
+    message = "unknown field(s) " + message
+    with pytest.raises(ProblemFileError, match=field_error(message)):
         load_problem(write_doc(tmp_path, doc))
 
 
@@ -120,15 +128,52 @@ def test_unknown_fields_rejected(tmp_path, mutate):
 def test_missing_required_fields_rejected(tmp_path, field):
     doc = minimal_doc()
     del doc[field]
-    with pytest.raises(ProblemFileError, match="missing field"):
+    message = f"missing field(s) in top level: [{field!r}]"
+    with pytest.raises(ProblemFileError, match=field_error(message)):
         load_problem(write_doc(tmp_path, doc))
 
 
 def test_missing_matrix_field_rejected(tmp_path):
     doc = minimal_doc()
     del doc["A"]["vals"]
-    with pytest.raises(ProblemFileError, match="missing field"):
+    message = "missing field(s) in \"A\": ['vals']"
+    with pytest.raises(ProblemFileError, match=field_error(message)):
         load_problem(write_doc(tmp_path, doc))
+
+
+def test_cone_without_type_rejected(tmp_path):
+    doc = minimal_doc()
+    del doc["cones"][0]["type"]
+    message = "missing field(s) in cone 0: ['type']"
+    with pytest.raises(ProblemFileError, match=field_error(message)):
+        load_problem(write_doc(tmp_path, doc))
+
+
+@pytest.mark.parametrize(
+    "field,message",
+    [
+        ("n", f"c has 2 entries, A has {10**12} columns"),
+        ("m", f"b has 1 entries, A has {10**12} rows"),
+    ],
+    ids=["n", "m"],
+)
+def test_sizes_checked_before_the_matrix_is_built(
+    tmp_path, monkeypatch, field, message
+):
+    # a size the vectors contradict must be rejected before SparseMatrix
+    # allocates for it; the recorder stands in, so nothing large is allocated
+    built = []
+
+    def recorder(*args):
+        built.append(args)
+        raise AssertionError("SparseMatrix built before the size checks")
+
+    monkeypatch.setattr(nsconic.fileio, "SparseMatrix", recorder)
+    doc = minimal_doc()
+    doc["A"][field] = 10**12
+    with pytest.raises(ProblemFileError, match=message):
+        load_problem(write_doc(tmp_path, doc))
+    assert built == []
 
 
 def test_cone_dim_sum_must_match_columns(tmp_path):
@@ -241,6 +286,13 @@ def test_unreadable_or_invalid_json(tmp_path):
         load_problem(path)
     path.write_text("[1, 2]")
     with pytest.raises(ProblemFileError, match="top level"):
+        load_problem(path)
+
+
+def test_non_utf8_file_rejected(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(minimal_doc()).encode())
+    with pytest.raises(ProblemFileError, match="not UTF-8 text"):
         load_problem(path)
 
 

@@ -3,11 +3,14 @@ import pytest
 import scipy.sparse as sps
 from scipy.linalg import solve_triangular
 
+from nsconic.barriers import NonnegativeBarrier
+from nsconic.cones import ConeSpec, build_cones, embed_point, strip_point
 from nsconic.linalg import (
     DenseHessian,
     DiagonalHessian,
     DimensionMismatch,
     SparseMatrix,
+    as_vector,
     solve_lower,
     solve_lower_t,
     try_chol,
@@ -284,3 +287,26 @@ def test_hessian_operations_agree_with_the_array(kind):
     W = W.toarray() if sps.issparse(W) else W
     np.testing.assert_allclose(W, np.linalg.solve(L, dense.T), rtol=1e-10, atol=1e-14)
 
+
+def test_as_vector_sites_name_the_expected_shape():
+    A = SparseMatrix(2, 3, [0, 1], [0, 2], [1.0, 2.0])
+    cp = build_cones([ConeSpec("free", 2), ConeSpec("lp", 1)])
+    sites = [
+        (lambda: NonnegativeBarrier(3).eval(np.ones(4)), "point", 4, 3),
+        (lambda: A.matvec(np.ones(2)), "operand", 2, 3),
+        (lambda: A.matvec(np.ones(3), transpose=True), "operand", 3, 2),
+        (lambda: A.scaled_transpose(np.ones(4)), "scaling", 4, 3),
+        (lambda: embed_point(cp, np.ones(4)), "point", 4, 3),
+        (lambda: strip_point(cp, np.ones(3)), "point", 3, 4),
+    ]
+    for call, what, got, n in sites:
+        with pytest.raises(DimensionMismatch) as info:
+            call()
+        assert str(info.value) == f"{what} has shape ({got},), expected ({n},)"
+
+
+def test_as_vector_converts_and_checks():
+    v = as_vector([1, 2], 2, "v")
+    assert v.dtype == np.float64 and v.shape == (2,)
+    with pytest.raises(DimensionMismatch, match=r"has shape \(1, 2\), expected \(2,\)"):
+        as_vector([[1, 2]], 2, "v")
