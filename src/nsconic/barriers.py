@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag
 
-from .linalg import DenseHessian, DiagonalHessian, DimensionMismatch, as_vector, try_chol
+from .linalg import DenseHessian, DiagonalHessian, DimensionMismatch
+from .linalg import as_int, as_vector, try_chol
 
 __all__ = [
     "BarrierEval",
@@ -74,9 +75,9 @@ class Barrier:
     nu: float
 
     def __init__(self, dim: int, nu: float, initial_point=None):
-        if dim < 1:
+        self.dim = as_int(dim, "cone dimension")
+        if self.dim < 1:
             raise ValueError("cone dimension must be positive")
-        self.dim = int(dim)
         self.nu = float(nu)
         self._initial_point = (
             None if initial_point is None else np.asarray(initial_point, float)

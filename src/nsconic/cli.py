@@ -65,10 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve a problem file")
+    p_solve.set_defaults(run=_cmd_solve)
     p_solve.add_argument("file", help="path to the problem file")
     _add_solver_flags(p_solve)
 
     p_rlp = sub.add_parser("random-lp", help="generate and solve a random LP")
+    p_rlp.set_defaults(run=_cmd_random_lp)
     p_rlp.add_argument("--m", type=int, required=True, help="number of equalities")
     p_rlp.add_argument("--n", type=int, required=True, help="number of variables")
     p_rlp.add_argument("--seed", type=int, default=0)
@@ -76,12 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p_rlp)
 
     p_ed = sub.add_parser("edesign", help="random E-optimal design instance")
+    p_ed.set_defaults(run=_cmd_edesign)
     p_ed.add_argument("--n", type=int, required=True, help="feature dimension")
     p_ed.add_argument("--p", type=int, help="number of candidates (default 2n)")
     p_ed.add_argument("--seed", type=int, default=0)
     _add_solver_flags(p_ed)
 
     p_chk = sub.add_parser("check-barrier", help="finite-difference oracle check")
+    p_chk.set_defaults(run=_cmd_check_barrier)
     p_chk.add_argument(
         "--cone",
         required=True,
@@ -185,13 +189,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "random-lp":
-            return _cmd_random_lp(args)
-        if args.command == "edesign":
-            return _cmd_edesign(args)
-        return _cmd_check_barrier(args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -11,6 +11,7 @@ coordinates before being returned.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,16 @@ __all__ = [
     "solve_cones",
 ]
 
-CONE_TYPES = ("free", "lp", "socp", "exp", "gpow")
+# tag -> (block-oracle builder, the dimension the tag fixes or None); a free
+# block is embedded in a second-order cone one dimension up
+_BUILTINS = {
+    "free": (lambda spec: SecondOrderBarrier(spec.dim + 1), None),
+    "lp": (lambda spec: NonnegativeBarrier(spec.dim), None),
+    "socp": (lambda spec: SecondOrderBarrier(spec.dim), None),
+    "exp": (lambda spec: ExponentialBarrier(), lambda spec: 3),
+    "gpow": (lambda spec: PowerBarrier(spec.lam), lambda spec: len(spec.lam) + 1),
+}
+CONE_TYPES = tuple(_BUILTINS)
 
 
 class ConeSpecError(ValueError):
@@ -63,43 +73,38 @@ class ConeSpec:
             raise ConeSpecError(f"unknown cone type {self.type!r}")
         if self.dim is not None:
             object.__setattr__(self, "dim", as_int(self.dim, "dim", ConeSpecError))
-        lam = self.lam
         if self.type == "gpow":
-            if lam is None:
+            if self.lam is None:
                 raise ConeSpecError("gpow requires weights (lam)")
-            lam = tuple(map(float, power_weights(lam, ConeSpecError)))
+            lam = tuple(map(float, power_weights(self.lam, ConeSpecError)))
             object.__setattr__(self, "lam", lam)
-            expected = len(lam) + 1
-            if self.dim is None:
-                object.__setattr__(self, "dim", expected)
-            elif self.dim != expected:
-                raise ConeSpecError(
-                    f"gpow dim {self.dim} does not match len(lam) + 1 = {expected}"
-                )
-            return
-        if lam is not None:
+        elif self.lam is not None:
             raise ConeSpecError(f"{self.type} does not take weights")
-        if self.type == "exp":
-            if self.dim is None:
-                object.__setattr__(self, "dim", 3)
-            elif self.dim != 3:
-                raise ConeSpecError("exp cone has dimension 3")
+        fixed_dim = _BUILTINS[self.type][1]
+        if fixed_dim is None:
+            if self.dim is None or self.dim < 1:
+                raise ConeSpecError(f"{self.type} needs a positive dimension")
             return
-        if self.dim is None or self.dim < 1:
-            raise ConeSpecError(f"{self.type} needs a positive dimension")
+        dim = fixed_dim(self)
+        if self.dim not in (None, dim):
+            raise ConeSpecError(f"{self.type} cone has dimension {dim}, got {self.dim}")
+        object.__setattr__(self, "dim", dim)
+
+    @classmethod
+    def coerce(cls, spec) -> "ConeSpec":
+        """Return spec as a ConeSpec: kept as is, or built from a mapping with
+        a ``type`` key and optional ``dim`` and ``lam`` keys."""
+        if isinstance(spec, cls):
+            return spec
+        keys = set(spec) if isinstance(spec, Mapping) else set()
+        if "type" not in keys or not keys <= {"type", "dim", "lam"}:
+            raise ConeSpecError(f"cone keys are type (required), dim and lam; got {spec!r}")
+        return cls(**spec)
 
 
 def block_oracle(spec: ConeSpec) -> Barrier:
     """The barrier of one cone block (a free block gets its Lorentz embedding)."""
-    if spec.type == "free":
-        return SecondOrderBarrier(spec.dim + 1)
-    if spec.type == "lp":
-        return NonnegativeBarrier(spec.dim)
-    if spec.type == "socp":
-        return SecondOrderBarrier(spec.dim)
-    if spec.type == "exp":
-        return ExponentialBarrier()
-    return PowerBarrier(spec.lam)
+    return _BUILTINS[spec.type][0](spec)
 
 
 @dataclass(frozen=True)
@@ -121,9 +126,7 @@ class ConeProduct:
 
 def build_cones(specs) -> ConeProduct:
     """Validate a cone list and compile layout plus product barrier."""
-    specs = tuple(
-        s if isinstance(s, ConeSpec) else ConeSpec(**dict(s)) for s in specs
-    )
+    specs = tuple(map(ConeSpec.coerce, specs))
     if not specs:
         raise ConeSpecError("cone list is empty")
     oracle = ProductBarrier(block_oracle(spec) for spec in specs)
@@ -178,9 +181,9 @@ def solve_cones(
 ) -> SolverResult:
     """Solve min c'x s.t. Ax = b with x in the product of tagged cones.
 
-    ``cones`` is a sequence of ConeSpec (or dicts with the same fields) laid
-    out in variable order. The returned x and s are in ambient coordinates;
-    free-block dummies never leave this function.
+    ``cones`` is a sequence of ConeSpec (or mappings, see ``ConeSpec.coerce``)
+    laid out in variable order. The returned x and s are in ambient
+    coordinates; free-block dummies never leave this function.
     """
     cp = build_cones(cones)
     lifted = lift(ProblemData(A, b, c), cp)

@@ -78,9 +78,8 @@ class EDesignBarrier(Barrier):
         if LM is None:
             return EXTERIOR
         value = -2.0 * np.log(np.diag(LM)).sum() - np.log(x).sum()
-        Li, info = lapack.dtrtri(LM, lower=1, overwrite_c=1)  # inverse of the factor
-        if info != 0:
-            return EXTERIOR
+        # inverse of the factor; potrf left a positive diagonal, so trtri cannot fail
+        Li, _ = lapack.dtrtri(LM, lower=1, overwrite_c=1)
         B[...] = V
         W = blas.dtrmm(1.0, Li, B, lower=1, overwrite_b=1)
         gradient = np.empty(1 + p)

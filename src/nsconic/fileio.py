@@ -183,7 +183,7 @@ def save_problem(path, c, A, b, cones, x0=None):
 
 
 def _cone_entry(spec) -> dict:
-    spec = spec if isinstance(spec, ConeSpec) else ConeSpec(**dict(spec))
+    spec = ConeSpec.coerce(spec)
     entry = {"type": spec.type, "dim": spec.dim}
     if spec.lam is not None:
         entry["lambda"] = list(spec.lam)

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sps
 
 from .barriers import BarrierEval
-from .linalg import DimensionMismatch, SparseMatrix, solve_lower, solve_lower_t, try_chol
+from .linalg import SparseMatrix, as_vector, solve_lower, solve_lower_t, try_chol
 
 __all__ = [
     "ProblemData",
@@ -56,13 +56,9 @@ class ProblemData:
 
     def __post_init__(self):
         self.A = SparseMatrix.coerce(self.A)
-        self.b = np.asarray(self.b, dtype=np.float64).ravel()
-        self.c = np.asarray(self.c, dtype=np.float64).ravel()
         m, n = self.A.shape
-        if self.b.shape != (m,) or self.c.shape != (n,):
-            raise DimensionMismatch(
-                f"A is {m}x{n} but b has shape {self.b.shape}, c {self.c.shape}"
-            )
+        self.b = as_vector(self.b, m, "b")
+        self.c = as_vector(self.c, n, "c")
         if not (np.isfinite(self.b).all() and np.isfinite(self.c).all()):
             raise ValueError("problem data must be finite")
 

@@ -64,6 +64,8 @@ class SparseMatrix:
     """
 
     def __init__(self, nrows, ncols, rows, cols, vals):
+        nrows = as_int(nrows, "nrows", DimensionMismatch)
+        ncols = as_int(ncols, "ncols", DimensionMismatch)
         if nrows < 0 or ncols < 0:
             raise DimensionMismatch("matrix dimensions must be nonnegative")
         rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))

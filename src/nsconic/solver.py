@@ -202,9 +202,11 @@ def _predictor(prob, oracle, z, ev, res):
 
 def _corrector(prob, oracle, z, ev, prox):
     """Damped centering steps until the iterate is back within ETA."""
-    for k in range(MAX_CORR_STEPS):
+    for k in range(MAX_CORR_STEPS + 1):
         if prox <= ETA:
             return z, ev, prox, k
+        if k == MAX_CORR_STEPS:
+            raise LineSearchError("corrector failed to re-center the iterate")
         mu = gap(z, oracle.nu)
         psi_x, psi_k = centrality_residual(z, mu, ev.gradient)
         rhs = NewtonRhs(
@@ -214,9 +216,6 @@ def _corrector(prob, oracle, z, ev, prox):
         if found is None:
             raise LineSearchError("corrector step stalled")
         z, ev, _, prox = found
-    if prox > ETA:
-        raise LineSearchError("corrector failed to re-center the iterate")
-    return z, ev, prox, MAX_CORR_STEPS
 
 
 def _classify(z, res, prob, nu, mu0, res0_norm, eps):

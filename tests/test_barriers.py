@@ -3,6 +3,7 @@ import pytest
 
 import nsconic.barriers
 from nsconic.barriers import (
+    Barrier,
     ExponentialBarrier,
     ExteriorPointError,
     NonnegativeBarrier,
@@ -168,6 +169,16 @@ def test_gpow_weight_validation():
     for bad in ([], [np.nan, 0.5], [np.inf, 0.5], [[0.5, 0.5]]):
         with pytest.raises(ValueError, match="power-cone weights"):
             PowerBarrier(bad)
+
+
+def test_barrier_sizes_validated():
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="cone dimension must be an integer"):
+            Barrier(bad, 1.0)
+    with pytest.raises(ValueError, match="cone dimension must be positive"):
+        Barrier(0, 1.0)
+    with pytest.raises(ValueError, match="product of zero cones"):
+        ProductBarrier([])
 
 
 def test_free_embedding_shape():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from nsconic.solver import SolverOptions, SolverStatus, initial_iterate, solve
 def test_spec_validation_errors():
     with pytest.raises(ConeSpecError):
         ConeSpec("simplex", 3)
-    with pytest.raises(ConeSpecError):
+    with pytest.raises(ConeSpecError, match="exp cone has dimension 3, got 4"):
         ConeSpec("exp", 4)
     with pytest.raises(ConeSpecError):
         ConeSpec("lp")
@@ -28,8 +30,10 @@ def test_spec_validation_errors():
         ConeSpec("lp", 0)
     with pytest.raises(ConeSpecError):
         ConeSpec("gpow", 3)  # weights missing
-    with pytest.raises(ConeSpecError):
+    with pytest.raises(ConeSpecError, match="gpow cone has dimension 3, got 4"):
         ConeSpec("gpow", 4, lam=(0.5, 0.5))  # dim must be len(lam) + 1
+    with pytest.raises(ConeSpecError, match="unknown cone type"):
+        ConeSpec(["lp"], 2)  # an unhashable tag is unknown too
     with pytest.raises(ConeSpecError):
         ConeSpec("gpow", lam=(0.9, 0.2))
     with pytest.raises(ConeSpecError):
@@ -42,6 +46,17 @@ def test_spec_validation_errors():
     for bad in (2.5, True, "2", np.bool_(True)):
         with pytest.raises(ConeSpecError, match="dim"):
             ConeSpec("lp", bad)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"type": "lp", "dim": 2, "weight": 1}, {"dim": 2}, "lp"],
+    ids=["unknown-key", "no-type", "not-a-mapping"],
+)
+def test_cone_mappings_are_checked(entry):
+    # the message names the keys it got
+    with pytest.raises(ConeSpecError, match=re.escape(f"got {entry!r}")):
+        build_cones([entry])
 
 
 def test_spec_defaults():
@@ -87,6 +102,9 @@ def test_build_gpow_nu():
 def test_build_accepts_dicts():
     cp = build_cones([{"type": "lp", "dim": 2}, {"type": "gpow", "lam": (0.5, 0.5)}])
     assert cp.ambient_dim == 5
+    assert cp.specs == (ConeSpec("lp", 2), ConeSpec("gpow", lam=(0.5, 0.5)))
+    spec = ConeSpec("exp")
+    assert ConeSpec.coerce(spec) is spec
 
 
 def test_default_x0_blocks():

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sps
 
 import nsconic.fileio
-from nsconic.cones import ConeSpec, solve_cones
+from nsconic.cones import ConeSpec, ConeSpecError, solve_cones
 from nsconic.hsd import ProblemData
 from nsconic.fileio import (
     ProblemFileError,
@@ -201,6 +201,21 @@ def test_non_finite_entries_rejected(tmp_path):
         load_problem(write_doc(tmp_path, doc))
 
 
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        (["x"], "field 'c' is not a real array"),
+        ([[1, 2]], "field 'c' must be a flat array"),
+    ],
+    ids=["not-real", "not-flat"],
+)
+def test_malformed_vectors_rejected(tmp_path, value, message):
+    doc = minimal_doc()
+    doc["c"] = value
+    with pytest.raises(ProblemFileError, match=re.escape(message)):
+        load_problem(write_doc(tmp_path, doc))
+
+
 def test_bad_cone_entries_rejected(tmp_path):
     doc = minimal_doc()
     doc["cones"] = [{"type": "orthant", "dim": 2}]
@@ -237,6 +252,16 @@ def test_save_rejects_what_load_rejects(tmp_path, c, cones, message):
     A = SparseMatrix(1, 2, [0, 0], [0, 1], [1.0, 1.0])
     with pytest.raises(ProblemFileError, match=message):
         save_problem(path, c, A, [2.0], cones)
+    assert not path.exists()
+
+
+def test_save_rejects_a_bad_cone_mapping(tmp_path):
+    # a cone mapping takes ConeSpec's keys; "lambda" is the problem file's
+    cone = {"type": "lp", "dim": 2, "lambda": None}
+    path = tmp_path / "bad.json"
+    A = SparseMatrix(1, 2, [0, 0], [0, 1], [1.0, 1.0])
+    with pytest.raises(ConeSpecError, match=re.escape(f"got {cone!r}")):
+        save_problem(path, [1.0, 2.0], A, [2.0], [cone])
     assert not path.exists()
 
 

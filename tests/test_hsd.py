@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from _util import (
@@ -33,6 +35,14 @@ def test_problem_data_validation():
     ProblemData(A, np.ones(2), np.ones(2))
     with pytest.raises(DimensionMismatch):
         ProblemData(A, np.ones(3), np.ones(2))
+    # b and c must be 1-D, even when their size fits
+    for mat, b, c, message in [
+        (np.eye(4), np.ones((2, 2)), np.ones(4), "b has shape (2, 2), expected (4,)"),
+        (np.eye(4), np.ones(4), np.ones((1, 4)), "c has shape (1, 4), expected (4,)"),
+        (np.ones((1, 2)), 1.0, np.ones(2), "b has shape (), expected (1,)"),
+    ]:
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            ProblemData(mat, b, c)
     with pytest.raises(ValueError):
         ProblemData(A, np.array([1.0, np.inf]), np.ones(2))
 

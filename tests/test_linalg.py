@@ -217,6 +217,15 @@ def test_sparse_index_validation():
         SparseMatrix(2, 2, [0], [-1], [1.0])
     with pytest.raises(ValueError):
         SparseMatrix(2, 2, [0], [0], [np.inf])
+    with pytest.raises(DimensionMismatch, match="nonnegative"):
+        SparseMatrix(-1, 2, [], [], [])
+    with pytest.raises(DimensionMismatch, match="equally long"):
+        SparseMatrix(2, 2, [0, 1], [0], [1.0])
+    for bad in (2.5, True, "2"):
+        with pytest.raises(DimensionMismatch, match="nrows must be an integer"):
+            SparseMatrix(bad, 3, [0], [0], [1.0])
+        with pytest.raises(DimensionMismatch, match="ncols must be an integer"):
+            SparseMatrix(3, bad, [0], [0], [1.0])
 
 
 def test_sparse_matvec_shape_check():

@@ -11,6 +11,7 @@ from nsconic.barriers import (
     PullbackBarrier,
     SecondOrderBarrier,
 )
+import nsconic.hsd
 import nsconic.solver
 from nsconic.cones import ConeSpec, solve_cones
 from nsconic.edesign import build_edesign, random_design_matrix
@@ -193,6 +194,26 @@ def test_numerical_error_status_on_impossible_centering(monkeypatch):
     res = solve(lp_problem(), NonnegativeBarrier(2))
     assert res.status is SolverStatus.NUMERICAL_ERROR
     assert "corrector" in res.status_string
+
+
+@pytest.mark.parametrize(
+    "module, name, value, detail",
+    [
+        # no trial point lies within a negative proximity bound
+        (nsconic.solver, "PRED_BETA", -1.0, "predictor line search found no"),
+        # the normal matrix fails to factor, shifted or not
+        (nsconic.hsd, "try_chol", lambda mat: None, "normal-equations matrix"),
+    ],
+    ids=["predictor", "normal-matrix"],
+)
+def test_first_step_failures_are_numerical_errors(
+    monkeypatch, module, name, value, detail
+):
+    monkeypatch.setattr(module, name, value)
+    res = solve(lp_problem(), NonnegativeBarrier(2))
+    assert res.status is SolverStatus.NUMERICAL_ERROR
+    assert res.iterations == 0
+    assert detail in res.status_string
 
 
 def test_deterministic_reruns():
