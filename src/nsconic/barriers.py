@@ -6,19 +6,21 @@ returns the barrier value, the gradient and the factored Hessian at x, or
 ``DenseHessian`` from ``linalg``) that multiplies, solves with H and with its
 lower Cholesky factor L, and forms L^{-1} A' for the Newton solve. A
 separable barrier returns the diagonal kind, whose factor is free and which
-never builds an n x n array. Other oracles return the dense kind, built by
-``Barrier._finish``, which factors H; a product with a dense block assembles
-its H and L from the blocks', and a pullback takes its L from a QR of the
-inner factor. ``contains(x)`` answers membership alone, as
-``eval(x).in_interior``. The solver only ever talks to cones through this
-interface, so adding a cone means adding one oracle class that implements
-``_evaluate(x)``.
+never builds an n x n array. Other oracles return the dense kind. Where H =
+G'G for a known G, ``Barrier._finish_qr`` takes L from a QR of G (LAPACK
+``geqrf``), so cond(H) is never squared: the exponential cone's G stacks the
+four rank-one terms of its Hessian, and a pullback's is the inner factor
+times the map. The second-order and power cones pass H to
+``Barrier._finish``, which factors it by Cholesky; a product with a dense
+block assembles its H and L from the blocks'. ``contains(x)`` answers
+membership alone, as ``eval(x).in_interior``. The solver only ever talks to
+cones through this interface, so adding a cone means adding one oracle class
+that implements ``_evaluate(x)``.
 
 Points on the cone boundary count as exterior; all membership tests use
-strict inequalities. A Hessian whose Cholesky factorization breaks down
-numerically is likewise reported as exterior, so callers can treat
-``in_interior`` as "every field is usable". Non-finite points are exterior
-to every oracle.
+strict inequalities. A Hessian whose factorization breaks down numerically
+is likewise reported as exterior, so callers can treat ``in_interior`` as
+"every field is usable". Non-finite points are exterior to every oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, lapack
 
 from .linalg import DenseHessian, DiagonalHessian, DimensionMismatch
 from .linalg import as_int, as_vector, try_chol
@@ -73,22 +75,16 @@ class Barrier:
 
     dim: int
     nu: float
+    initial_point: np.ndarray | None  # canonical strictly interior point, if any
 
     def __init__(self, dim: int, nu: float, initial_point=None):
         self.dim = as_int(dim, "cone dimension")
         if self.dim < 1:
             raise ValueError("cone dimension must be positive")
         self.nu = float(nu)
-        self._initial_point = (
+        self.initial_point = (
             None if initial_point is None else np.asarray(initial_point, float)
         )
-
-    @property
-    def initial_point(self) -> np.ndarray | None:
-        """A canonical strictly interior point, or None if there is none."""
-        if self._initial_point is None:
-            return None
-        return self._initial_point.copy()
 
     def eval(self, x) -> BarrierEval:
         """Value, gradient and factored Hessian at x, or ``EXTERIOR``."""
@@ -110,6 +106,20 @@ class Barrier:
         if chol is None:
             return EXTERIOR
         return BarrierEval(True, value, gradient, DenseHessian(hessian, chol))
+
+    def _finish_qr(self, value, gradient, G) -> BarrierEval:
+        """Assemble an interior result for H = G'G, factored by a QR of G.
+
+        G has at least as many rows as columns. L is R' for the R of G = QR,
+        so cond(H) is never squared on the way to L. A zero on R's diagonal
+        (H numerically singular) or a non-finite entry reads as exterior.
+        """
+        r = np.triu(lapack.dgeqrf(G)[0][: G.shape[1]])
+        # a Cholesky factor has a positive diagonal: flip R's rows to get one
+        chol = r.T * np.sign(np.diag(r))
+        if not ((np.diag(chol) > 0.0).all() and np.isfinite(chol).all()):
+            return EXTERIOR
+        return BarrierEval(True, value, gradient, DenseHessian(G.T @ G, chol))
 
 
 class NonnegativeBarrier(Barrier):
@@ -170,19 +180,15 @@ class ExponentialBarrier(Barrier):
         value = -np.log(residual) - np.log(x1) - np.log(x2)
         dr = np.array([x2 / x1, ratio - 1.0, -1.0])
         gradient = -dr / residual - np.array([1.0 / x1, 1.0 / x2, 0.0])
-        d2r = np.array(
-            [
-                [-x2 / x1**2, 1.0 / x1, 0.0],
-                [1.0 / x1, -1.0 / x2, 0.0],
-                [0.0, 0.0, 0.0],
-            ]
-        )
-        hessian = (
-            np.outer(dr, dr) / residual**2
-            - d2r / residual
-            + np.diag([1.0 / x1**2, 1.0 / x2**2, 0.0])
-        )
-        return self._finish(value, gradient, hessian)
+        # H = F F' for the four columns of F, the rows of G below: grad r / r,
+        # (x2/x1, -1, 0) / sqrt(r x2), e1 / x1 and e2 / x2
+        t = 1.0 / np.sqrt(residual * x2)
+        G = np.zeros((4, 3))
+        G[0] = dr / residual
+        G[1, :2] = x2 / x1 * t, -t
+        G[2, 0] = 1.0 / x1
+        G[3, 1] = 1.0 / x2
+        return self._finish_qr(value, gradient, G)
 
 
 def power_weights(weights, error: type[Exception] = ValueError) -> np.ndarray:
@@ -191,7 +197,10 @@ def power_weights(weights, error: type[Exception] = ValueError) -> np.ndarray:
     Anything but a nonempty 1-D sequence of finite positive numbers summing
     to 1 (within 1e-12) raises ``error``, whose message shows the weights.
     """
-    w = np.asarray(weights, dtype=np.float64)
+    try:
+        w = np.asarray(weights, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        w = np.empty(0)  # not numbers: rejected below like an empty sequence
     finite = w.ndim == 1 and w.size > 0 and np.isfinite(w).all()
     if not (finite and w.min() > 0.0 and abs(w.sum() - 1.0) <= 1e-12):
         raise error(
@@ -268,9 +277,7 @@ class ProductBarrier(Barrier):
             raise ValueError("product of zero cones is not allowed")
         dims = [f.dim for f in factors]
         inits = [f.initial_point for f in factors]
-        init = None
-        if all(p is not None for p in inits):
-            init = np.concatenate(inits)
+        init = None if any(p is None for p in inits) else np.concatenate(inits)
         super().__init__(sum(dims), nu=sum(f.nu for f in factors), initial_point=init)
         self.factors = factors
         self.offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
@@ -333,13 +340,7 @@ class PullbackBarrier(Barrier):
         if not ev.in_interior:
             return EXTERIOR
         gradient = self.mat.T @ ev.gradient
-        G = _factor(ev.hessian).T @ self.mat
-        r = np.linalg.qr(G, mode="r")
-        # a Cholesky factor has a positive diagonal: flip R's rows to get one
-        chol = r.T * np.sign(np.diag(r))
-        if not (np.diag(chol) > 0.0).all():
-            return EXTERIOR
-        return BarrierEval(True, ev.value, gradient, DenseHessian(G.T @ G, chol))
+        return self._finish_qr(ev.value, gradient, _factor(ev.hessian).T @ self.mat)
 
 
 @dataclass(frozen=True)

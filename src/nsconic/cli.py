@@ -42,15 +42,11 @@ _EXIT_CODES = {
 EXIT_INPUT_ERROR = 4
 
 
-class _CliInputError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 by default, which collides with the
     # infeasibility exit code; funnel usage errors into exit 4 instead
     def error(self, message):
-        raise _CliInputError(message)
+        raise ValueError(message)
 
 
 def _add_solver_flags(p):

@@ -187,7 +187,7 @@ def solve_cones(
     """
     cp = build_cones(cones)
     lifted = lift(ProblemData(A, b, c), cp)
-    start = cp.oracle.initial_point if x0 is None else embed_point(cp, x0)
+    start = None if x0 is None else embed_point(cp, x0)
     result = solve(lifted, cp.oracle, start, options)
     if cp.dummy_positions:
         # dummies carry zero cost, so objectives are unaffected by the strip

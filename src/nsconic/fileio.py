@@ -62,7 +62,7 @@ def _check_fields(obj, allowed, required, where) -> None:
 def _real_array(obj, name) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFileError(f"field {name!r} is not a real array: {exc}") from None
     if arr.ndim != 1:
         raise ProblemFileError(f"field {name!r} must be a flat array")
@@ -111,7 +111,7 @@ def _parse_cones(entries) -> list[ConeSpec]:
                     lam=entry.get("lambda"),
                 )
             )
-        except (ConeSpecError, TypeError, ValueError) as exc:
+        except ConeSpecError as exc:
             raise ProblemFileError(f"cone {i}: {exc}") from None
     return specs
 

@@ -164,15 +164,6 @@ class Direction:
     ds: np.ndarray
     dkappa: float
 
-    def __add__(self, other: "Direction") -> "Direction":
-        return Direction(
-            self.dy + other.dy,
-            self.dx + other.dx,
-            self.dtau + other.dtau,
-            self.ds + other.ds,
-            self.dkappa + other.dkappa,
-        )
-
 
 def newton_solve(
     prob: ProblemData, z: Iterate, mu: float, ev: BarrierEval, rhs: NewtonRhs
@@ -250,4 +241,10 @@ def newton_solve(
     rho4 = rhs.r4 - (d.ds + mu * (H @ d.dx))
     rho5 = rhs.r5 - (d.dkappa + gamma * d.dtau)
     corr = reduced(rho1, np.zeros(prob.n), 0.0, rho4, rho5)
-    return d + corr
+    return Direction(
+        d.dy + corr.dy,
+        d.dx + corr.dx,
+        d.dtau + corr.dtau,
+        d.ds + corr.ds,
+        d.dkappa + corr.dkappa,
+    )

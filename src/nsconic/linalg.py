@@ -156,16 +156,6 @@ def try_chol(mat) -> np.ndarray | None:
     return L if info == 0 else None
 
 
-def _check_trsv(fac, rhs):
-    L = _as_square(fac)
-    b = np.asarray(rhs, dtype=np.float64)
-    if b.ndim not in (1, 2) or b.shape[0] != L.shape[0]:
-        raise DimensionMismatch(
-            f"rhs has shape {b.shape}, incompatible with factor of order {L.shape[0]}"
-        )
-    return L, b
-
-
 def _trsv(fac, rhs, trans: int) -> np.ndarray:
     """Solve L w = rhs (trans 0) or L' w = rhs (trans 1) with LAPACK trtrs.
 
@@ -174,7 +164,12 @@ def _trsv(fac, rhs, trans: int) -> np.ndarray:
     bits: trtrs reads Fortran order, so a C-ordered L is passed as the upper
     triangular L' with the transpose flag flipped.
     """
-    L, b = _check_trsv(fac, rhs)
+    L = _as_square(fac)
+    b = np.asarray(rhs, dtype=np.float64)
+    if b.ndim not in (1, 2) or b.shape[0] != L.shape[0]:
+        raise DimensionMismatch(
+            f"rhs has shape {b.shape}, incompatible with factor of order {L.shape[0]}"
+        )
     if b.size == 0:  # LAPACK rejects a leading dimension of 0
         return np.empty_like(b)
     if L.flags.f_contiguous:

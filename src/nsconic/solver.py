@@ -170,12 +170,13 @@ def _boundary_cap(z: Iterate, d: Direction) -> float:
     return alpha
 
 
-def _step(prob, oracle, z, ev, rhs, accept):
+def _step(prob, oracle, z, ev, rhs, accept, failure):
     """Newton direction for rhs, then backtrack from the boundary cap.
 
     Returns the first trial point that is interior with a positive gap and
     whose proximity passes ``accept``, as (point, oracle result, step,
-    proximity); None when LS_MAX_STEPS trials all fail.
+    proximity). When LS_MAX_STEPS trials all fail, raises LineSearchError
+    with the message ``failure``.
     """
     nu = oracle.nu
     d = newton_solve(prob, z, gap(z, nu), ev, rhs)
@@ -188,16 +189,14 @@ def _step(prob, oracle, z, ev, rhs, accept):
             if accept(prox):
                 return zt, evt, alpha, prox
         alpha *= LS_FACTOR
-    return None
+    raise LineSearchError(failure)
 
 
 def _predictor(prob, oracle, z, ev, res):
     """Aim at the embedding solution, backtrack into the PRED_BETA ball."""
     rhs = NewtonRhs(-res.primal, -res.dual, -res.gap, -z.s, -z.kappa)
-    found = _step(prob, oracle, z, ev, rhs, lambda p: p <= PRED_BETA)
-    if found is None:
-        raise LineSearchError("predictor line search found no acceptable step")
-    return found
+    failure = "predictor line search found no acceptable step"
+    return _step(prob, oracle, z, ev, rhs, lambda p: p <= PRED_BETA, failure)
 
 
 def _corrector(prob, oracle, z, ev, prox):
@@ -212,10 +211,9 @@ def _corrector(prob, oracle, z, ev, prox):
         rhs = NewtonRhs(
             np.zeros(prob.m), np.zeros(prob.n), 0.0, -psi_x, -psi_k
         )
-        found = _step(prob, oracle, z, ev, rhs, lambda p: p < prox)
-        if found is None:
-            raise LineSearchError("corrector step stalled")
-        z, ev, _, prox = found
+        z, ev, _, prox = _step(
+            prob, oracle, z, ev, rhs, lambda p: p < prox, "corrector step stalled"
+        )
 
 
 def _classify(z, res, prob, nu, mu0, res0_norm, eps):

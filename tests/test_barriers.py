@@ -143,6 +143,38 @@ def test_exp_hand_values():
     assert not b.eval(np.array([1.0, 0.0, -5.0])).in_interior
 
 
+def test_exp_factor_holds_near_the_boundary():
+    # r = x2 log(x1/x2) - x3 = 1e-11, so cond(H) is about 1e20 and potrf on
+    # the formed H breaks down; L from the QR of F' still factors H
+    x1, x2 = 2.0, 1e-3
+    x = np.array([x1, x2, x2 * np.log(x1 / x2) - 1e-11])
+    ev = ExponentialBarrier().eval(x)
+    assert ev.in_interior
+    L, H = ev.hessian.L, ev.hessian.toarray()
+    np.testing.assert_array_equal(L, np.tril(L))
+    assert (np.diag(L) > 0.0).all()
+    assert np.linalg.norm(L @ L.T - H) <= 1e-12 * np.linalg.norm(H)
+    # H is the closed form grad r grad r' / r^2 - hess r / r + diag(1/x1^2, 1/x2^2, 0)
+    r = x2 * np.log(x1 / x2) - x[2]
+    dr = np.array([x2 / x1, np.log(x1 / x2) - 1.0, -1.0])
+    d2r = np.zeros((3, 3))
+    d2r[:2, :2] = [[-x2 / x1**2, 1.0 / x1], [1.0 / x1, -1.0 / x2]]
+    H_ref = np.outer(dr, dr) / r**2 - d2r / r + np.diag([x1**-2, x2**-2, 0.0])
+    assert np.linalg.norm(H - H_ref) <= 1e-12 * np.linalg.norm(H_ref)
+
+
+def test_qr_factor_of_a_singular_map_reads_as_exterior():
+    # H = G'G with a zero or non-finite diagonal in R has no usable factor
+    b = ExponentialBarrier()
+    G = np.eye(4, 3)
+    assert b._finish_qr(0.0, np.zeros(3), G).in_interior
+    G[2, 2] = 0.0
+    assert not b._finish_qr(0.0, np.zeros(3), G).in_interior
+    assert not b._finish_qr(0.0, np.zeros(3), np.zeros((4, 3))).in_interior
+    G[2, 2] = np.inf
+    assert not b._finish_qr(0.0, np.zeros(3), G).in_interior
+
+
 def test_gpow_hand_values():
     b = PowerBarrier([0.5, 0.5])
     ev = b.eval(np.array([1.0, 1.0, 0.0]))
@@ -166,7 +198,7 @@ def test_gpow_weight_validation():
         PowerBarrier([0.5, 0.6])
     with pytest.raises(ValueError):
         PowerBarrier([1.2, -0.2])
-    for bad in ([], [np.nan, 0.5], [np.inf, 0.5], [[0.5, 0.5]]):
+    for bad in ([], [np.nan, 0.5], [np.inf, 0.5], [[0.5, 0.5]], {"a": 1}, "ab"):
         with pytest.raises(ValueError, match="power-cone weights"):
             PowerBarrier(bad)
 
@@ -298,6 +330,9 @@ def test_gradient_maps_into_dual_cone(oracle, sampler):
 def test_fd_check_rejects_exterior():
     with pytest.raises(ExteriorPointError):
         fd_check(NonnegativeBarrier(2), np.array([1.0, -1.0]))
+    # interior, but the backward probe of size 1e-4 crosses x1 = 0
+    with pytest.raises(ExteriorPointError, match="probe along coordinate 0"):
+        fd_check(NonnegativeBarrier(2), [1e-5, 1.0])
 
 
 # ------------------------------------------------------------------ product
@@ -422,8 +457,9 @@ def test_pullback_rejects_a_map_it_cannot_use():
 )
 def test_pullback_reuses_the_inner_factor(monkeypatch, inner):
     # M'HM = G'G with G = L'M, so its factor comes from a QR of G and the
-    # only Cholesky factorization is the inner oracle's own; x = (1, 0.5)
-    # maps near the inner start, inside the cone
+    # only Cholesky factorization is the inner oracle's own (none for the
+    # orthant, whose factor is diagonal, or for exp, whose factor comes from
+    # a QR too); x = (1, 0.5) maps near the inner start, inside the cone
     M = np.column_stack([inner.initial_point, 0.2 * np.arange(1.0, inner.dim + 1.0)])
     pb = PullbackBarrier(inner, M)
     x = np.array([1.0, 0.5])
@@ -433,7 +469,7 @@ def test_pullback_reuses_the_inner_factor(monkeypatch, inner):
         nsconic.barriers, "try_chol", lambda a: calls.append(a) or real(a)
     )
     ev = pb.eval(x)
-    expected = 0 if isinstance(inner, NonnegativeBarrier) else 1
+    expected = 1 if isinstance(inner, SecondOrderBarrier) else 0
     assert len(calls) == expected
     H, L = ev.hessian.toarray(), ev.hessian.L
     np.testing.assert_array_equal(L, np.tril(L))

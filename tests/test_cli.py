@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import nsconic
-from nsconic.cli import main
+from nsconic.barriers import NonnegativeBarrier
+from nsconic.cli import _sample_near_start, main
 from nsconic.cones import CONE_TYPES
 from nsconic.fileio import load_problem
 
@@ -208,6 +209,17 @@ def test_check_barrier_rejects_flags_the_cone_does_not_take(flags, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+def test_sample_near_start_falls_back_to_the_start():
+    # when every draw around the start is rejected, the start itself is used
+    class Nowhere(NonnegativeBarrier):
+        def contains(self, x):
+            return False
+
+    oracle = Nowhere(3)
+    x = _sample_near_start(oracle, np.random.default_rng(0))
+    np.testing.assert_array_equal(x, np.ones(3))
 
 
 def test_console_entry_point_runs():

@@ -38,7 +38,9 @@ def test_spec_validation_errors():
         ConeSpec("gpow", lam=(0.9, 0.2))
     with pytest.raises(ConeSpecError):
         ConeSpec("lp", 3, lam=(1.0,))
-    for bad in ([np.nan, 0.5], [np.inf, 0.5], [], [[0.5, 0.5]]):
+    for bad in (
+        [np.nan, 0.5], [np.inf, 0.5], [], [[0.5, 0.5]], {"a": 1}, "ab", [10**400, 1]
+    ):
         with pytest.raises(ConeSpecError, match="power-cone weights"):
             ConeSpec("gpow", lam=bad)
     with pytest.raises(ConeSpecError):

@@ -206,8 +206,9 @@ def test_non_finite_entries_rejected(tmp_path):
     [
         (["x"], "field 'c' is not a real array"),
         ([[1, 2]], "field 'c' must be a flat array"),
+        ([10**400, 1], "field 'c' is not a real array"),
     ],
-    ids=["not-real", "not-flat"],
+    ids=["not-real", "not-flat", "too-large"],
 )
 def test_malformed_vectors_rejected(tmp_path, value, message):
     doc = minimal_doc()
@@ -231,11 +232,14 @@ def test_bad_cone_entries_rejected(tmp_path):
 
 def test_nan_power_weights_rejected(tmp_path):
     doc = minimal_doc()
-    doc["cones"] = [{"type": "gpow", "lambda": [float("nan"), 1.0]}]
     doc["c"], doc["A"]["n"] = [1.0, 2.0, 0.0], 3
-    # Python's json writes and reads NaN, so only the weight check can reject it
-    with pytest.raises(ProblemFileError, match="cone 0: power-cone weights"):
-        load_problem(write_doc(tmp_path, doc))
+    # Python's json writes and reads NaN, so only the weight check can reject
+    # it; weights that are not numbers at all (an object, a string, an integer
+    # too large for a float) get the same message
+    for lam in ([float("nan"), 1.0], {"a": 1}, "ab", [10**400, 1]):
+        doc["cones"] = [{"type": "gpow", "lambda": lam}]
+        with pytest.raises(ProblemFileError, match="cone 0: power-cone weights"):
+            load_problem(write_doc(tmp_path, doc))
 
 
 @pytest.mark.parametrize(

@@ -181,6 +181,7 @@ def test_sparse_cancelling_duplicates_store_no_zeros():
     assert A.csc.nnz == 0 == SparseMatrix.coerce(np.zeros((2, 2))).csc.nnz
     assert A.csc.data.size == 0 == A.csc.indices.size
     np.testing.assert_array_equal(A.matvec(np.ones(2), transpose=True), [0.0, 0.0])
+    assert repr(A) == "SparseMatrix(2x2, nnz=0)"
 
 
 def test_sparse_matvec_hand_case():
