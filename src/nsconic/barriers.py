@@ -255,11 +255,6 @@ class PowerBarrier(Barrier):
         return self._finish(value, gradient, hessian)
 
 
-def _factor(h) -> np.ndarray:
-    """The dense lower factor L of a Hessian object."""
-    return np.diag(h.l) if isinstance(h, DiagonalHessian) else h.L
-
-
 class ProductBarrier(Barrier):
     """Direct product of barrier oracles laid out block by block.
 
@@ -301,7 +296,7 @@ class ProductBarrier(Barrier):
             hess = DiagonalHessian(np.concatenate([h.l for h in hs]))
             return BarrierEval(True, value, gradient, hess)
         hessian = block_diag(*(h.toarray() for h in hs))
-        chol = block_diag(*(_factor(h) for h in hs))
+        chol = block_diag(*(h.L for h in hs))
         return BarrierEval(True, value, gradient, DenseHessian(hessian, chol))
 
 
@@ -340,7 +335,7 @@ class PullbackBarrier(Barrier):
         if not ev.in_interior:
             return EXTERIOR
         gradient = self.mat.T @ ev.gradient
-        return self._finish_qr(ev.value, gradient, _factor(ev.hessian).T @ self.mat)
+        return self._finish_qr(ev.value, gradient, ev.hessian.L.T @ self.mat)
 
 
 @dataclass(frozen=True)

@@ -100,11 +100,9 @@ class Residuals:
     gap: float
 
     def norm(self) -> float:
-        return float(
-            np.sqrt(
-                self.primal @ self.primal + self.dual @ self.dual + self.gap**2
-            )
-        )
+        # gap * gap, not gap**2: a Python float power raises OverflowError
+        sq = self.primal @ self.primal + self.dual @ self.dual
+        return float(np.sqrt(sq + self.gap * self.gap))
 
 
 def residuals(z: Iterate, prob: ProblemData) -> Residuals:

@@ -3,7 +3,7 @@
 Barrier Hessians are handed to the Newton solve as objects, not arrays, so a
 structured Hessian keeps its structure: ``DiagonalHessian`` for separable
 barriers such as the orthant's, ``DenseHessian`` for everything else. Both
-answer the same five operations with H = L L' for the factor L.
+answer the same operations and expose the factor L, with H = L L'.
 """
 
 from __future__ import annotations
@@ -116,18 +116,6 @@ class SparseMatrix:
     def toarray(self) -> np.ndarray:
         return self.csc.toarray()
 
-    def scaled_transpose(self, d) -> sps.csr_matrix:
-        """diag(d) A' as a scipy CSR matrix, built without densifying A.
-
-        Row j of A' is column j of A, so the CSC arrays of A are the CSR
-        arrays of A' and only the values need scaling.
-        """
-        m, n = self.shape
-        d = as_vector(d, n, "scaling")
-        csc = self.csc
-        data = csc.data * np.repeat(d, np.diff(csc.indptr))
-        return sps.csr_matrix((data, csc.indices, csc.indptr), shape=(n, m))
-
     def __repr__(self):
         return f"SparseMatrix({self.shape[0]}x{self.shape[1]}, nnz={self.csc.nnz})"
 
@@ -196,8 +184,8 @@ def solve_lower_t(fac, rhs) -> np.ndarray:
 class DiagonalHessian:
     """H = diag(l**2) with factor L = diag(l), for separable barriers.
 
-    Every operation is elementwise, and ``half_solve_t`` keeps A sparse, so
-    no n x n array is ever formed.
+    Solves and products are elementwise and ``half_solve_t`` keeps A sparse;
+    only ``L`` and ``toarray`` form an n x n array.
     """
 
     def __init__(self, l):
@@ -214,9 +202,17 @@ class DiagonalHessian:
         """H^{-1} v."""
         return v / self.l / self.l
 
+    @property
+    def L(self) -> np.ndarray:
+        return np.diag(self.l)
+
     def half_solve_t(self, A: SparseMatrix) -> sps.csr_matrix:
-        """L^{-1} A' as a sparse n x m matrix."""
-        return A.scaled_transpose(1.0 / self.l)
+        """L^{-1} A' as a sparse n x m matrix. The CSC arrays of A are the
+        CSR arrays of A', so only the values are scaled."""
+        csc = A.csc
+        d = 1.0 / as_vector(self.l, A.shape[1], "scaling")
+        data = csc.data * np.repeat(d, np.diff(csc.indptr))
+        return sps.csr_matrix((data, csc.indices, csc.indptr), shape=csc.shape[::-1])
 
     def toarray(self) -> np.ndarray:
         return np.diag(self.l * self.l)

@@ -21,6 +21,7 @@ solution or a Farkas certificate is returned.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -224,7 +225,8 @@ def _classify(z, res, prob, nu, mu0, res0_norm, eps):
     tau against kappa tells which limit point we reached; an optimal
     declaration additionally demands de-homogenized residuals and duality
     gap at the tolerance, so returned solutions meet the advertised quality
-    regardless of problem scaling.
+    regardless of problem scaling. An infeasibility declaration demands a
+    ray whose residual is at most optim_tol times its objective.
     """
     mu_now = gap(z, nu)
     if mu_now > eps * mu0 or res.norm() > eps * res0_norm:
@@ -241,10 +243,11 @@ def _classify(z, res, prob, nu, mu0, res0_norm, eps):
             return SolverStatus.OPTIMAL
         return None
     if z.tau < INFEAS_TOL * z.kappa:
-        if float(b @ z.y) > INFEAS_TOL * max(1.0, np.linalg.norm(z.y)):
-            return SolverStatus.PRIMAL_INFEASIBLE
-        if float(c @ z.x) < -INFEAS_TOL * max(1.0, np.linalg.norm(z.x)):
-            return SolverStatus.DUAL_INFEASIBLE
+        by, cx = float(b @ z.y), float(c @ z.x)
+        if by > 0.0 and np.linalg.norm(c * z.tau - res.dual) <= eps * by:
+            return SolverStatus.PRIMAL_INFEASIBLE  # |A'y + s|
+        if cx < 0.0 and np.linalg.norm(res.primal + b * z.tau) <= eps * -cx:
+            return SolverStatus.DUAL_INFEASIBLE  # |A x|
     return None
 
 
@@ -322,11 +325,15 @@ def solve(
     res0_norm = res.norm()
     history: list[IterationRecord] = []
     if opts.verbose:
-        print(_LOG_HEADER)
+        print(_LOG_HEADER, file=sys.stderr)
     status = SolverStatus.ITERATION_LIMIT
     detail = ""
     stalled = None
     try:
+        if not np.isfinite(res0_norm):
+            raise OverflowError(
+                "problem data overflowed: the start's residuals are not finite"
+            )
         for it in range(opts.max_iter + 1):
             verdict = _classify(z, res, prob, nu, mu0, res0_norm, opts.optim_tol)
             if verdict is not None:
@@ -362,12 +369,14 @@ def solve(
                 print(
                     f"{rec.iteration:>4} {rec.mu:>10.3e} {rec.primal_norm:>10.3e} "
                     f"{rec.dual_norm:>10.3e} {rec.gap_abs:>10.3e} "
-                    f"{rec.step:>8.2e} {rec.corrector_steps:>4} {rec.prox:>8.2e}"
+                    f"{rec.step:>8.2e} {rec.corrector_steps:>4} {rec.prox:>8.2e}",
+                    file=sys.stderr,
                 )
-    except (LineSearchError, SingularSystemError) as exc:
+    except (LineSearchError, SingularSystemError, OverflowError) as exc:
         status = SolverStatus.NUMERICAL_ERROR
         detail = str(exc)
     result = _build_result(status, detail, z, res, prob, nu, history, t0)
     if opts.verbose:
-        print(f"status: {result.status.value} ({result.status_string})")
+        status_line = f"status: {result.status.value} ({result.status_string})"
+        print(status_line, file=sys.stderr)
     return result

@@ -70,9 +70,38 @@ def test_solve_verbose_logs_iterations(tmp_path, capsys):
         ["solve", write_doc(tmp_path, lp_doc()), "--verbose", "--output", str(dest)]
     )
     assert code == 0
-    log = capsys.readouterr().out
+    log = capsys.readouterr().err
     assert "iter" in log and "mu" in log
     assert json.loads(dest.read_text())["status"] == "Optimal"
+
+
+def test_verbose_stdout_is_the_result_document(capsys):
+    code = main(["random-lp", "--m", "3", "--n", "6", "--seed", "1", "--verbose"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["status"] == "Optimal"
+    assert captured.err.startswith("iter")
+
+
+def test_overflowing_data_exits_5_with_a_document(tmp_path, capsys):
+    doc = {
+        "c": [1e200, 2e200, 3e200],
+        "b": [2.0, 0.5],
+        "A": {
+            "m": 2,
+            "n": 3,
+            "rows": [0, 0, 0, 1, 1],
+            "cols": [0, 1, 2, 0, 1],
+            "vals": [1.0, 1.0, 1.0, 1.0, -1.0],
+        },
+        "cones": [{"type": "lp", "dim": 3}],
+    }
+    with np.errstate(over="ignore"):
+        code = main(["solve", write_doc(tmp_path, doc)])
+    result = json.loads(capsys.readouterr().out)
+    assert code == 5
+    assert result["status"] == "NumericalError" and result["iterations"] == 0
+    assert "overflowed" in result["statusString"]
 
 
 def test_infeasible_exits_2(tmp_path, capsys):

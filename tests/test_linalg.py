@@ -261,12 +261,12 @@ def test_scaled_transpose_matches_dense():
     rng = np.random.default_rng(13)
     dense = rng.standard_normal((4, 6)) * (rng.random((4, 6)) < 0.5)
     A = SparseMatrix.coerce(dense)
-    d = rng.uniform(0.5, 2.0, 6)
-    W = A.scaled_transpose(d)
+    l = rng.uniform(0.5, 2.0, 6)
+    W = DiagonalHessian(l).half_solve_t(A)
     assert sps.issparse(W) and W.shape == (6, 4)
-    np.testing.assert_array_equal(W.toarray(), d[:, None] * dense.T)
+    np.testing.assert_array_equal(W.toarray(), (1.0 / l)[:, None] * dense.T)
     with pytest.raises(DimensionMismatch):
-        A.scaled_transpose(np.ones(4))
+        DiagonalHessian(np.ones(4)).half_solve_t(A)
 
 
 def _hessian(kind, rng, n):
@@ -285,6 +285,7 @@ def test_hessian_operations_agree_with_the_array(kind):
     n, m = 7, 3
     hess, L = _hessian(kind, rng, n)
     H = hess.toarray()
+    np.testing.assert_array_equal(hess.L, L)
     np.testing.assert_allclose(H, L @ L.T, rtol=1e-14)
     v = rng.standard_normal(n)
     np.testing.assert_allclose(hess @ v, H @ v, rtol=1e-12)
@@ -305,7 +306,7 @@ def test_as_vector_sites_name_the_expected_shape():
         (lambda: NonnegativeBarrier(3).eval(np.ones(4)), "point", 4, 3),
         (lambda: A.matvec(np.ones(2)), "operand", 2, 3),
         (lambda: A.matvec(np.ones(3), transpose=True), "operand", 3, 2),
-        (lambda: A.scaled_transpose(np.ones(4)), "scaling", 4, 3),
+        (lambda: DiagonalHessian(np.ones(4)).half_solve_t(A), "scaling", 4, 3),
         (lambda: embed_point(cp, np.ones(4)), "point", 4, 3),
         (lambda: strip_point(cp, np.ones(3)), "point", 3, 4),
     ]

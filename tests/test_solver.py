@@ -165,6 +165,33 @@ def test_dual_infeasible_lp():
     assert np.linalg.norm(prob.A.matvec(res.x)) <= 1e-8
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_unbounded_lp_is_not_called_primal_infeasible(tol):
+    # columns 6 and 7 are zero with cost -2 and the primal is feasible, so the
+    # LP is unbounded; the dual iterate's b'y > 0 once read as a Farkas ray
+    A = np.array([[3.0, 3, 1, -3, 1, 0, 0, -1], [-2.0, -2, 1, 3, -2, 0, 0, 1]])
+    c = np.array([-1.0, 0, 3, 2, -2, -2, -2, -2])
+    prob = ProblemData(A, np.array([-2.0, -2.0]), c)
+    res = solve(prob, NonnegativeBarrier(8), options=SolverOptions(optim_tol=tol))
+    assert res.status is SolverStatus.DUAL_INFEASIBLE
+    cx = float(prob.c @ res.x)
+    assert cx < 0 and res.x.min() > 0
+    assert np.linalg.norm(A @ res.x) <= tol * -cx
+
+
+@pytest.mark.parametrize("scale", [(1.0, 1e200), (1e155, 1e155)])
+def test_overflowing_data_is_a_numerical_error(scale):
+    b_scale, c_scale = scale
+    A = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+    b = b_scale * np.array([2.0, 0.5])
+    prob = ProblemData(A, b, c_scale * np.array([1.0, 2.0, 3.0]))
+    with np.errstate(over="ignore"):
+        res = solve(prob, NonnegativeBarrier(3))
+    assert res.status is SolverStatus.NUMERICAL_ERROR
+    assert res.iterations == 0
+    assert "overflowed" in res.status_string
+
+
 def test_mu_strictly_decreases_per_cycle():
     res = solve(lp_problem(), NonnegativeBarrier(2))
     mus = [rec.mu for rec in res.history]
@@ -234,7 +261,9 @@ def test_custom_x0_is_respected():
 
 def test_verbose_log_shape(capsys):
     solve(lp_problem(), NonnegativeBarrier(2), options=SolverOptions(verbose=True))
-    out = capsys.readouterr().out.strip().splitlines()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    out = captured.err.strip().splitlines()
     assert out[0].split() == ["iter", "mu", "|rP|", "|rD|", "|rG|", "step", "corr", "prox"]
     assert out[-1].startswith("status: Optimal")
     # one line per iteration between header and status
