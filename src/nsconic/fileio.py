@@ -21,6 +21,7 @@ exactly (Python's JSON writer emits shortest full-precision reprs).
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -191,21 +192,30 @@ def _cone_entry(spec) -> dict:
 
 
 def result_document(result: SolverResult) -> dict:
-    """Serializable view of a result; solveSeconds is the only varying field."""
+    """Serializable view of a result; solveSeconds is the only varying field.
+
+    JSON has no NaN or infinity, so a non-finite number is written as null.
+    """
     return {
         "status": result.status.value,
         "statusString": result.status_string,
-        "pObj": result.p_obj,
-        "dObj": result.d_obj,
+        "pObj": _number(result.p_obj),
+        "dObj": _number(result.d_obj),
         "iterations": result.iterations,
-        "tau": result.tau,
-        "kappa": result.kappa,
-        "residualNorms": dict(result.residual_norms),
-        "x": list(result.x),
-        "y": list(result.y),
-        "s": list(result.s),
+        "tau": _number(result.tau),
+        "kappa": _number(result.kappa),
+        "residualNorms": {k: _number(v) for k, v in result.residual_norms.items()},
+        "x": [_number(v) for v in result.x],
+        "y": [_number(v) for v in result.y],
+        "s": [_number(v) for v in result.s],
         "solveSeconds": result.solve_seconds,
     }
+
+
+def _number(v):
+    """v as a float, or None when it is not finite."""
+    v = float(v)
+    return v if math.isfinite(v) else None
 
 
 def write_result(result: SolverResult, dest) -> None:
@@ -219,5 +229,5 @@ def _write_json(doc, dest) -> None:
         with open(dest, "w", encoding="utf-8") as fh:
             _write_json(doc, fh)
         return
-    json.dump(doc, dest, indent=2)
+    json.dump(doc, dest, indent=2, allow_nan=False)
     dest.write("\n")

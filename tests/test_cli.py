@@ -98,10 +98,16 @@ def test_overflowing_data_exits_5_with_a_document(tmp_path, capsys):
     }
     with np.errstate(over="ignore"):
         code = main(["solve", write_doc(tmp_path, doc)])
-    result = json.loads(capsys.readouterr().out)
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    # strict JSON: a non-finite number is written as null
+    result = json.loads(capsys.readouterr().out, parse_constant=reject)
     assert code == 5
     assert result["status"] == "NumericalError" and result["iterations"] == 0
     assert "overflowed" in result["statusString"]
+    assert result["residualNorms"]["dual"] is None
 
 
 def test_infeasible_exits_2(tmp_path, capsys):

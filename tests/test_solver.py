@@ -192,6 +192,30 @@ def test_overflowing_data_is_a_numerical_error(scale):
     assert "overflowed" in res.status_string
 
 
+_Y_OPT = 1.0 - 1e-9
+
+
+@pytest.mark.parametrize(
+    "A, b, c, y, x, s, kappa, status",
+    [
+        ([1.0, 1.0], -1.0, [1.0, 1.0], -1.0, [1.0, 1.0], [1.0, 1.0], 1.0,
+         SolverStatus.PRIMAL_INFEASIBLE),
+        ([1.0, -1.0], 1.0, [-1.0, 0.0], 0.0, [1.0, 1.0], [1.0, 1.0], 1.0,
+         SolverStatus.DUAL_INFEASIBLE),
+        ([1.0, 1.0], 2.0, [1.0, 2.0], _Y_OPT, [2.0 - 1e-9, 1e-9],
+         [1.0 - _Y_OPT, 2.0 - _Y_OPT], 10.0, SolverStatus.OPTIMAL),
+    ],
+    ids=["primal-infeasible", "dual-infeasible", "optimal-kappa-above-tau"],
+)
+def test_status_is_decided_by_its_certificate_alone(A, b, c, y, x, s, kappa, status):
+    # each point passes one certificate test at tau = 1, with no convergence
+    # relative to the start and, for the optimal one, kappa above tau
+    prob = ProblemData(np.array([A]), np.array([b]), np.array(c))
+    z = Iterate(np.array([y]), np.array(x), 1.0, np.array(s), kappa)
+    res = nsconic.hsd.residuals(z, prob)
+    assert nsconic.solver._classify(z, res, prob, 1e-6) is status
+
+
 def test_mu_strictly_decreases_per_cycle():
     res = solve(lp_problem(), NonnegativeBarrier(2))
     mus = [rec.mu for rec in res.history]
