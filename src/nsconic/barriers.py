@@ -9,10 +9,11 @@ separable barrier returns the diagonal kind, whose factor is free and which
 never builds an n x n array. Other oracles return the dense kind. Where H =
 G'G for a known G, ``Barrier._finish_qr`` takes L from a QR of G (LAPACK
 ``geqrf``), so cond(H) is never squared: the exponential cone's G stacks the
-four rank-one terms of its Hessian, and a pullback's is the inner factor
-times the map. The second-order and power cones pass H to
-``Barrier._finish``, which factors it by Cholesky; a product with a dense
-block assembles its H and L from the blocks'. ``contains(x)`` answers
+four rank-one terms of its Hessian, the power cone's stacks two rank-one
+terms, the scaled factor of -hess(prod x_i^w_i) and a diagonal, and a
+pullback's is the inner factor times the map. The second-order cone passes
+H to ``Barrier._finish``, which factors it by Cholesky; a product with a
+dense block assembles its H and L from the blocks'. ``contains(x)`` answers
 membership alone, as ``eval(x).in_interior``. The solver only ever talks to
 cones through this interface, so adding a cone means adding one oracle class
 that implements ``_evaluate(x)``.
@@ -233,26 +234,28 @@ class PowerBarrier(Barrier):
         if x.min() <= 0.0:
             return EXTERIOR
         logx = np.log(x)
-        power = np.exp(2.0 * (w @ logx))  # prod x_i^(2 w_i)
-        residual = power - z * z
-        if residual <= 0.0:
+        power = np.exp(w @ logx)  # pi = prod x_i^w_i
+        lo, hi = power - z, power + z
+        if min(lo, hi) <= 0.0:  # pi - |z|
             return EXTERIOR
-        value = -np.log(residual) - ((1.0 - w) * logx).sum()
-        dp = 2.0 * w * power / x  # gradient of the power product
-        gradient = np.empty(self.dim)
-        gradient[:-1] = -dp / residual - (1.0 - w) / x
-        gradient[-1] = 2.0 * z / residual
-        hessian = np.empty((self.dim, self.dim))
-        hxx = np.outer(dp, dp) * (z * z / (power * residual**2))
-        hxx[np.diag_indices(w.size)] += (
-            2.0 * w * power / (x * x * residual) + (1.0 - w) / (x * x)
-        )
-        hessian[:-1, :-1] = hxx
-        hxz = -2.0 * z * dp / residual**2
-        hessian[:-1, -1] = hxz
-        hessian[-1, :-1] = hxz
-        hessian[-1, -1] = 2.0 / residual + 4.0 * z * z / residual**2
-        return self._finish(value, gradient, hessian)
+        value = -np.log(lo) - np.log(hi) - ((1.0 - w) * logx).sum()
+        dp = w * power / x  # gradient of pi
+        # H = G'G: the rank-one terms (grad pi, -1) / (pi - z) and
+        # (grad pi, 1) / (pi + z), which are also the gradients of the two
+        # logs; -hess pi = pi F'F for the projector-times-diagonal
+        # F = (I - sqrt(w) sqrt(w)') diag(sqrt(w) / x), scaled by
+        # 1/(pi - z) + 1/(pi + z); and diag(sqrt(1 - w) / x)
+        n = w.size
+        rw = np.sqrt(w)
+        G = np.zeros((2 * n + 2, n + 1))
+        G[0, :-1], G[0, -1] = dp / lo, -1.0 / lo
+        G[1, :-1], G[1, -1] = dp / hi, 1.0 / hi
+        gradient = -G[0] - G[1]
+        gradient[:-1] -= (1.0 - w) / x
+        scale = np.sqrt(power * (1.0 / lo + 1.0 / hi))
+        G[2 : n + 2, :-1] = (np.eye(n) - np.outer(rw, rw)) * (scale * rw / x)
+        G[n + 2 :, :-1] = np.diag(np.sqrt(1.0 - w) / x)
+        return self._finish_qr(value, gradient, G)
 
 
 class ProductBarrier(Barrier):

@@ -4,23 +4,28 @@ One iteration is a predictor step (aim at the solution, long line search
 inside a wide proximity ball) followed by damped corrector steps that pull
 the iterate back into a tight neighborhood of the central path. Both make
 the same move, written once in ``_step``: solve the Newton system for a
-right-hand side, cap the step at the tau/kappa boundary, then halve it
-until the trial point is interior and its proximity passes the caller's
-test. The accepted point's oracle result and proximity are carried
-forward, and each iterate's residuals are computed once and shared by the
-status test, the predictor, the history record and the result. When the
-corrector fails, the predictor point is recorded as the iterate and goes
-through the status test; the failure ends the solve only if that point
-certifies nothing. A point becomes the iterate only once it is recorded,
-so the returned point and its residual norms are always those of the last
-history record, also when a Newton system turns singular mid-iteration.
-The embedding makes infeasibility detection a byproduct: a status is
-returned as soon as the iterate passes its certificate test (an optimal
-point (x, y, s)/tau, a Farkas ray in (y, s) or an improving ray in x).
+right-hand side, cap the step at the tau/kappa boundary, then try the steps
+of a schedule until the trial point is interior and its proximity passes
+the caller's test. The corrector's schedule starts at the cap and halves.
+The predictor's is warm-started: it starts near its last accepted step,
+backtracks by a finer factor and falls back to the corrector's schedule
+(see the step-rule constants below). The accepted point's oracle result
+and proximity are carried forward, and each iterate's residuals are
+computed once and shared by the status test, the predictor, the history
+record and the result. When the corrector fails, the predictor point is
+recorded as the iterate and goes through the status test; the failure
+ends the solve only if that point certifies nothing. A point becomes the
+iterate only once it is recorded, so the returned point and its residual
+norms are always those of the last history record, also when a Newton
+system turns singular mid-iteration. The embedding makes infeasibility
+detection a byproduct: a status is returned as soon as the iterate passes
+its certificate test (an optimal point (x, y, s)/tau, a Farkas ray in
+(y, s) or an improving ray in x).
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 import time
 from dataclasses import dataclass, field
@@ -72,17 +77,33 @@ _STATUS_STRINGS = {
 
 
 class LineSearchError(RuntimeError):
-    """A line search or corrector phase could not make progress."""
+    """A line search or corrector phase could not make progress.
+
+    ``trials`` counts the oracle calls the failed phase made.
+    """
+
+    def __init__(self, message, trials=0):
+        super().__init__(message)
+        self.trials = trials
 
 
 # Step-rule constants. ETA is the central-path proximity kept after
-# correction and PRED_BETA the wider ball the predictor may roam; each line
-# search starts at the boundary cap and shrinks the step by LS_FACTOR.
+# correction and PRED_BETA the wider ball the predictor may roam. A
+# corrector search starts at the boundary cap and halves the step
+# (LS_FACTOR), for up to LS_MAX_STEPS trials. A predictor search starts at
+# growth times the last accepted predictor step, at most the cap (the first
+# one at the cap), and backtracks by WARM_FACTOR. The growth starts at
+# 1 / WARM_FACTOR, doubles when a search accepts its first trial and is
+# reset otherwise. When growth times the last step is below COLD_START, or
+# when the warm trials all fail, the predictor searches as the corrector
+# does, so its smallest step stays LS_FACTOR**(LS_MAX_STEPS - 1) of the cap.
 ETA = 0.07
 PRED_BETA = 0.5
 MAX_CORR_STEPS = 8
 LS_FACTOR = 0.5
 LS_MAX_STEPS = 60
+WARM_FACTOR = 0.8
+COLD_START = 1e-3
 
 
 @dataclass
@@ -105,8 +126,11 @@ class SolverOptions:
             raise ValueError("max_iter must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
+    """One recorded iterate; ``pred_trials`` and ``corr_trials`` count the
+    oracle calls of its predictor and corrector line searches."""
+
     iteration: int
     mu: float
     primal_norm: float
@@ -115,6 +139,8 @@ class IterationRecord:
     step: float
     corrector_steps: int
     prox: float
+    pred_trials: int
+    corr_trials: int
 
 
 @dataclass
@@ -170,50 +196,78 @@ def _boundary_cap(z: Iterate, d: Direction) -> float:
     return alpha
 
 
-def _step(prob, oracle, z, ev, rhs, accept, failure):
-    """Newton direction for rhs, then backtrack from the boundary cap.
+def _backtrack(start, factor):
+    """LS_MAX_STEPS trial steps from start, each factor times the one before."""
+    alpha = start
+    for _ in range(LS_MAX_STEPS):
+        yield alpha
+        alpha *= factor
+
+
+def _halving(cap):
+    return _backtrack(cap, LS_FACTOR)
+
+
+def _step(prob, oracle, z, ev, rhs, accept, failure, schedule=_halving):
+    """Newton direction for rhs, then the trial steps of ``schedule(cap)``.
 
     Returns the first trial point that is interior with a positive gap and
     whose proximity passes ``accept``, as (point, oracle result, step,
-    proximity). When LS_MAX_STEPS trials all fail, raises LineSearchError
+    proximity, trials). When every trial fails, raises LineSearchError
     with the message ``failure``.
     """
     nu = oracle.nu
     d = newton_solve(prob, z, gap(z, nu), ev, rhs)
-    alpha = _boundary_cap(z, d)
-    for _ in range(LS_MAX_STEPS):
+    trials = 0
+    for alpha in schedule(_boundary_cap(z, d)):
+        trials += 1
         zt = z.step(d, alpha)
         evt = oracle.eval(zt.x)
         if evt.in_interior and gap(zt, nu) > 0.0:
             prox = proximity(zt, evt, nu)
             if accept(prox):
-                return zt, evt, alpha, prox
-        alpha *= LS_FACTOR
-    raise LineSearchError(failure)
+                return zt, evt, alpha, prox, trials
+    raise LineSearchError(failure, trials)
 
 
-def _predictor(prob, oracle, z, ev, res):
+def _warm_trials(cap, start):
+    """Trials from min(cap, start) by WARM_FACTOR, then the halving ones."""
+    if start < COLD_START:
+        return _halving(cap)
+    return itertools.chain(_backtrack(min(cap, start), WARM_FACTOR), _halving(cap))
+
+
+def _predictor(prob, oracle, z, ev, res, start):
     """Aim at the embedding solution, backtrack into the PRED_BETA ball."""
     rhs = NewtonRhs(-res.primal, -res.dual, -res.gap, -z.s, -z.kappa)
     failure = "predictor line search found no acceptable step"
-    return _step(prob, oracle, z, ev, rhs, lambda p: p <= PRED_BETA, failure)
+    return _step(
+        prob, oracle, z, ev, rhs, lambda p: p <= PRED_BETA, failure,
+        lambda cap: _warm_trials(cap, start),
+    )
 
 
 def _corrector(prob, oracle, z, ev, prox):
     """Damped centering steps until the iterate is back within ETA."""
+    trials = 0
     for k in range(MAX_CORR_STEPS + 1):
         if prox <= ETA:
-            return z, ev, prox, k
+            return z, ev, prox, k, trials
         if k == MAX_CORR_STEPS:
-            raise LineSearchError("corrector failed to re-center the iterate")
+            raise LineSearchError("corrector failed to re-center the iterate", trials)
         mu = gap(z, oracle.nu)
         psi_x, psi_k = centrality_residual(z, mu, ev.gradient)
         rhs = NewtonRhs(
             np.zeros(prob.m), np.zeros(prob.n), 0.0, -psi_x, -psi_k
         )
-        z, ev, _, prox = _step(
-            prob, oracle, z, ev, rhs, lambda p: p < prox, "corrector step stalled"
-        )
+        try:
+            z, ev, _, prox, t = _step(
+                prob, oracle, z, ev, rhs, lambda p: p < prox, "corrector step stalled"
+            )
+        except LineSearchError as exc:
+            exc.trials += trials
+            raise
+        trials += t
 
 
 def _classify(z, res, prob, eps):
@@ -277,7 +331,7 @@ def _build_result(status, detail, z, res, prob, nu, history, t0):
 
 _LOG_HEADER = (
     f"{'iter':>4} {'mu':>10} {'|rP|':>10} {'|rD|':>10} {'|rG|':>10} "
-    f"{'step':>8} {'corr':>4} {'prox':>8}"
+    f"{'step':>8} {'corr':>4} {'prox':>8} {'ptry':>4} {'ctry':>4}"
 )
 
 
@@ -318,6 +372,7 @@ def solve(
     status = SolverStatus.ITERATION_LIMIT
     detail = ""
     stalled = None
+    last_step, growth = np.inf, 1.0 / WARM_FACTOR  # the predictor's warm start
     try:
         if not np.isfinite(res.norm()):
             raise OverflowError(
@@ -332,15 +387,19 @@ def solve(
                 raise stalled
             if it == opts.max_iter:
                 break
-            zt, ev, alpha, prox = _predictor(prob, oracle, z, ev, res)
+            zt, ev, alpha, prox, ptrials = _predictor(
+                prob, oracle, z, ev, res, growth * last_step
+            )
+            growth = 2.0 * growth if ptrials == 1 else 1.0 / WARM_FACTOR
+            last_step = alpha
             try:
-                zt, ev, prox, ncorr = _corrector(prob, oracle, zt, ev, prox)
+                zt, ev, prox, ncorr, ctrials = _corrector(prob, oracle, zt, ev, prox)
             except LineSearchError as exc:
                 # centering can stall near the solution, where the predictor
                 # point may already certify: record that point and let the
                 # next _classify decide; if it certifies nothing, the failure
                 # is re-raised there
-                stalled, ncorr = exc, 0
+                stalled, ncorr, ctrials = exc, 0, exc.trials
             z = zt
             res = residuals(z, prob)
             rec = IterationRecord(
@@ -352,13 +411,16 @@ def solve(
                 step=alpha,
                 corrector_steps=ncorr,
                 prox=prox,
+                pred_trials=ptrials,
+                corr_trials=ctrials,
             )
             history.append(rec)
             if opts.verbose:
                 print(
                     f"{rec.iteration:>4} {rec.mu:>10.3e} {rec.primal_norm:>10.3e} "
                     f"{rec.dual_norm:>10.3e} {rec.gap_abs:>10.3e} "
-                    f"{rec.step:>8.2e} {rec.corrector_steps:>4} {rec.prox:>8.2e}",
+                    f"{rec.step:>8.2e} {rec.corrector_steps:>4} {rec.prox:>8.2e} "
+                    f"{rec.pred_trials:>4} {rec.corr_trials:>4}",
                     file=sys.stderr,
                 )
     except (LineSearchError, SingularSystemError, OverflowError) as exc:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nsconic.barriers
+import nsconic.linalg
 from nsconic.barriers import (
     Barrier,
     ExponentialBarrier,
@@ -175,12 +176,62 @@ def test_qr_factor_of_a_singular_map_reads_as_exterior():
     assert not b._finish_qr(0.0, np.zeros(3), G).in_interior
 
 
+def gpow_hessian(w, x, z):
+    """Closed-form Hessian of -log(pi^2 - z^2) - sum((1 - w) log x), pi = prod x^w."""
+    pi = np.prod(x**w)
+    r = (pi - z) * (pi + z)  # pi^2 - z^2 without the cancellation
+    dp = 2.0 * w * pi * pi / x  # gradient of pi^2
+    H = np.empty((x.size + 1, x.size + 1))
+    H[:-1, :-1] = np.outer(dp, dp) * (z * z / (pi * pi * r * r))
+    H[:-1, :-1] += np.diag(2.0 * w * pi * pi / (x * x * r) + (1.0 - w) / (x * x))
+    H[:-1, -1] = H[-1, :-1] = -2.0 * z * dp / (r * r)
+    H[-1, -1] = 2.0 / r + 4.0 * z * z / (r * r)
+    return H
+
+
+def test_gpow_factor_holds_near_the_boundary():
+    # pi - z = 1e-10, so cond(H) is about 1e20 and potrf on the formed H
+    # breaks down; L from the QR of G still factors H
+    w, x, z = np.array([0.25, 0.75]), np.ones(2), 1.0 - 1e-10
+    H_ref = gpow_hessian(w, x, z)
+    assert nsconic.linalg.try_chol(H_ref) is None
+    ev = PowerBarrier(w).eval(np.append(x, z))
+    assert ev.in_interior
+    L, H = ev.hessian.L, ev.hessian.toarray()
+    np.testing.assert_array_equal(L, np.tril(L))
+    assert (np.diag(L) > 0.0).all()
+    assert np.linalg.norm(L @ L.T - H) <= 1e-12 * np.linalg.norm(H)
+    assert np.linalg.norm(H - H_ref) <= 1e-12 * np.linalg.norm(H_ref)
+
+
+def test_gpow_fd_check_on_random_weights():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 5, 8):
+        w = rng.uniform(0.05, 1.0, n)
+        w /= w.sum()
+        w[-1] = 1.0 - w[:-1].sum()
+        oracle = PowerBarrier(w)
+        for _ in range(5):
+            x = sample_gpow(w, rng)
+            report = fd_check(oracle, x)
+            assert report.ok(), (n, report)
+            assert report.grad_identity <= 1e-10
+            assert report.hess_identity <= 1e-9
+            np.testing.assert_allclose(
+                oracle.eval(x).hessian.toarray(), gpow_hessian(w, x[:-1], x[-1]),
+                rtol=1e-10, atol=1e-12,
+            )
+
+
 def test_gpow_hand_values():
     b = PowerBarrier([0.5, 0.5])
     ev = b.eval(np.array([1.0, 1.0, 0.0]))
     assert ev.value == 0.0
     np.testing.assert_allclose(ev.gradient, [-1.5, -1.5, 0.0])
-    np.testing.assert_allclose(ev.hessian.toarray(), np.diag([1.5, 1.5, 2.0]))
+    # H = G'G from the factored form leaves a rounding error off the diagonal
+    np.testing.assert_allclose(
+        ev.hessian.toarray(), np.diag([1.5, 1.5, 2.0]), atol=1e-15
+    )
 
     b2 = PowerBarrier([0.25, 0.75])
     ev2 = b2.eval(np.array([1.0, 1.0, 0.0]))

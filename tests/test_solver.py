@@ -267,6 +267,21 @@ def test_first_step_failures_are_numerical_errors(
     assert detail in res.status_string
 
 
+def test_failed_predictor_search_ends_at_the_halving_floor(monkeypatch):
+    # the warm trials, then the halving ones down to 2^-59 of the cap
+    monkeypatch.setattr(nsconic.solver, "PRED_BETA", -1.0)
+    alphas, caps = _record_line_searches(monkeypatch)
+    res = solve(lp_problem(), NonnegativeBarrier(2))
+    assert res.status is SolverStatus.NUMERICAL_ERROR
+    n = nsconic.solver.LS_MAX_STEPS
+    (cap,) = caps
+    assert len(alphas) == 2 * n
+    assert alphas[0] == alphas[n] == cap
+    np.testing.assert_allclose(_ratios(alphas[:n]), nsconic.solver.WARM_FACTOR)
+    assert alphas[n:] == [cap * 0.5**k for k in range(n)]
+    assert min(alphas) == cap * 2.0**-59
+
+
 def test_deterministic_reruns():
     r1 = solve(lp_problem(), NonnegativeBarrier(2))
     r2 = solve(lp_problem(), NonnegativeBarrier(2))
@@ -288,7 +303,9 @@ def test_verbose_log_shape(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     out = captured.err.strip().splitlines()
-    assert out[0].split() == ["iter", "mu", "|rP|", "|rD|", "|rG|", "step", "corr", "prox"]
+    assert out[0].split() == [
+        "iter", "mu", "|rP|", "|rD|", "|rG|", "step", "corr", "prox", "ptry", "ctry"
+    ]
     assert out[-1].startswith("status: Optimal")
     # one line per iteration between header and status
     assert len(out) >= 4
@@ -382,6 +399,28 @@ def test_corrector_failure_short_of_certification_is_an_error(monkeypatch):
     assert "corrector step stalled" in res.status_string
 
 
+def test_a_stalled_corrector_counts_its_trials(monkeypatch):
+    # the predictor point has proximity 0.3, the first centering trial 0.2
+    # and every later one 0.25, so the second centering search stalls
+    values = iter([0.3, 0.2])
+    monkeypatch.setattr(nsconic.solver, "proximity", lambda *args: next(values, 0.25))
+    evals = []
+    real_eval = Barrier.eval
+
+    def counted_eval(self, x):
+        evals.append(x)
+        return real_eval(self, x)
+
+    monkeypatch.setattr(Barrier, "eval", counted_eval)
+    res = solve(lp_problem(), NonnegativeBarrier(2))
+    assert res.status is SolverStatus.NUMERICAL_ERROR
+    assert "corrector step stalled" in res.status_string
+    (rec,) = res.history
+    assert rec.corrector_steps == 0
+    assert rec.corr_trials == 1 + nsconic.solver.LS_MAX_STEPS
+    assert len(evals) == 1 + rec.pred_trials + rec.corr_trials
+
+
 def test_singular_system_in_the_corrector_returns_the_last_recorded_iterate(
     monkeypatch,
 ):
@@ -436,3 +475,110 @@ def test_one_oracle_evaluation_at_the_start_point(monkeypatch, case):
     assert res.status is SolverStatus.OPTIMAL
     assert len(evals) == 1 + len(trials)
     assert sum(np.array_equal(x, x0) for x in evals) == 1
+    # the history counts every line-search trial
+    assert len(evals) == 1 + sum(r.pred_trials + r.corr_trials for r in res.history)
+
+
+def _record_line_searches(monkeypatch):
+    """Record every trial step and every boundary cap, in call order."""
+    alphas, caps = [], []
+    real_step, real_cap = Iterate.step, nsconic.solver._boundary_cap
+
+    def counted_step(self, d, alpha):
+        alphas.append(alpha)
+        return real_step(self, d, alpha)
+
+    def counted_cap(z, d):
+        caps.append(real_cap(z, d))
+        return caps[-1]
+
+    monkeypatch.setattr(Iterate, "step", counted_step)
+    monkeypatch.setattr(nsconic.solver, "_boundary_cap", counted_cap)
+    return alphas, caps
+
+
+def _predictor_searches(res, alphas, caps):
+    """(cap, trial steps) of each iteration's predictor search.
+
+    Each iteration makes one search per predictor and corrector step, in that
+    order, with the trial counts its record gives.
+    """
+    searches, a, c = [], 0, 0
+    for rec in res.history:
+        searches.append((caps[c], alphas[a : a + rec.pred_trials]))
+        a += rec.pred_trials + rec.corr_trials
+        c += 1 + rec.corrector_steps
+    assert (a, c) == (len(alphas), len(caps))
+    return searches
+
+
+def _ratios(trials):
+    return [b / a for a, b in zip(trials, trials[1:])]
+
+
+def _lp_case():
+    prob, x0 = random_lp(20, 50, 0)
+    return prob, NonnegativeBarrier(50), x0
+
+
+def _edesign_case():
+    return build_edesign(random_design_matrix(4, 8, seed=1))
+
+
+@pytest.mark.parametrize("case", [_lp_case, _edesign_case], ids=["random_lp", "edesign"])
+def test_predictor_starts_near_its_last_step(monkeypatch, case):
+    prob, oracle, x0 = case()
+    alphas, caps = _record_line_searches(monkeypatch)
+    res = solve(prob, oracle, x0)
+    assert res.status is SolverStatus.OPTIMAL
+    f = nsconic.solver.WARM_FACTOR
+    last, growth, doubled, warm = np.inf, 1.0 / f, 0, 0
+    for (cap, trials), rec in zip(_predictor_searches(res, alphas, caps), res.history):
+        assert growth * last >= nsconic.solver.COLD_START
+        # the first search starts at the cap, every later one at growth * last
+        assert trials[0] == min(cap, growth * last)
+        assert trials[-1] == rec.step
+        np.testing.assert_allclose(_ratios(trials), f, rtol=1e-12)
+        warm += trials[0] < cap
+        if rec.pred_trials == 1:
+            growth, doubled = 2.0 * growth, doubled + 1
+        else:
+            growth = 1.0 / f
+        last = rec.step
+    assert doubled > 0 and warm > 0
+
+
+def test_predictor_starts_cold_after_a_tiny_step(monkeypatch):
+    # reject the first 34 trials of the first predictor and the first trial
+    # of the second, as if they were exterior points
+    rejects = {1: 34, 2: 1}
+    state = {"pred": 0, "trial": 0, "active": False}
+    real_predictor, real_eval = nsconic.solver._predictor, Barrier.eval
+
+    def predictor(*args):
+        state.update(pred=state["pred"] + 1, trial=0, active=True)
+        try:
+            return real_predictor(*args)
+        finally:
+            state["active"] = False
+
+    def eval_(self, x):
+        if state["active"]:
+            state["trial"] += 1
+            if state["trial"] <= rejects.get(state["pred"], 0):
+                return nsconic.barriers.EXTERIOR
+        return real_eval(self, x)
+
+    monkeypatch.setattr(nsconic.solver, "_predictor", predictor)
+    monkeypatch.setattr(Barrier, "eval", eval_)
+    alphas, caps = _record_line_searches(monkeypatch)
+    prob, oracle, x0 = _lp_case()
+    res = solve(prob, oracle, x0)
+    assert res.status is SolverStatus.OPTIMAL
+    searches = _predictor_searches(res, alphas, caps)
+    (cap1, first), (cap2, second) = searches[:2]
+    assert len(first) == 35 and first[-1] == res.history[0].step
+    assert first[-1] / cap1 < nsconic.solver.COLD_START
+    # growth * last is below COLD_START: start at the cap and halve
+    assert second[0] == cap2 and len(second) >= 2
+    assert _ratios(second) == [nsconic.solver.LS_FACTOR] * (len(second) - 1)

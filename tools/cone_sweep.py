@@ -1,20 +1,21 @@
 """Solve and check every ``cone_blocks`` instance of a range of seeds.
 
-    python3 tools/cone_sweep.py FIRST LAST
+    python3 tools/cone_sweep.py FIRST LAST [TOL]
 
 For each seed from FIRST to LAST (inclusive) it builds the ``cone_blocks``
 instances of ``bench/workloads.py``, solves each through ``solve_cones`` at
-the instance's tolerance, and checks the answer with ``bench/check.py``'s
-``Checker``. It prints one line per instance (seed:instance, status,
-iterations, seconds and the check's verdict), then the pass count, and exits
-1 when any instance fails its check. ``bench/`` is imported read only and
-left without bytecode, and BLAS is pinned to one thread, as in
-``bench/run.py``. Seeds 0-40 take a few minutes, so this is not part of the
-test suite.
+the instance's tolerance, or at TOL when given, and checks the answer with
+``bench/check.py``'s ``Checker`` at that same tolerance. It prints one line
+per instance (seed:instance, status, iterations, seconds and the check's
+verdict), then the pass count, and exits 1 when any instance fails its
+check. ``bench/`` is imported read only and left without bytecode, and
+BLAS is pinned to one thread, as in ``bench/run.py``. Seeds 0-40 take a few
+minutes, so this is not part of the test suite.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 import time
@@ -40,14 +41,17 @@ from nsconic.solver import SolverOptions  # noqa: E402
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
-    if len(args) != 2:
-        print("usage: cone_sweep.py FIRST LAST", file=sys.stderr)
+    if len(args) not in (2, 3):
+        print("usage: cone_sweep.py FIRST LAST [TOL]", file=sys.stderr)
         return 2
-    first, last = map(int, args)
+    first, last = int(args[0]), int(args[1])
+    tol = float(args[2]) if len(args) == 3 else None
     checker = Checker()
     passed = total = 0
     for seed in range(first, last + 1):
         for i, inst in enumerate(cone_blocks(seed)):
+            if tol is not None:
+                inst = dataclasses.replace(inst, optim_tol=tol)
             cones = [ConeSpec(k, d, w) for k, d, w in inst.cones]
             opts = SolverOptions(optim_tol=inst.optim_tol)
             t0 = time.perf_counter()
