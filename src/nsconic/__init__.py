@@ -21,12 +21,7 @@ from .barriers import (
     fd_check,
 )
 from .cones import ConeProduct, ConeSpec, ConeSpecError, build_cones, solve_cones
-from .edesign import (
-    EDesignBarrier,
-    build_edesign,
-    grid_objective,
-    random_design_matrix,
-)
+from .edesign import EDesignBarrier, build_edesign, random_design_matrix
 from .fileio import ProblemFileError, load_problem, save_problem, write_result
 from .generators import random_lp
 from .hsd import Iterate, ProblemData, Residuals, SingularSystemError
@@ -74,7 +69,6 @@ __all__ = [
     "build_cones",
     "build_edesign",
     "fd_check",
-    "grid_objective",
     "load_problem",
     "random_design_matrix",
     "random_lp",

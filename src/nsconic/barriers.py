@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, lapack
+from scipy.linalg import lapack
 
 from .linalg import DenseHessian, DiagonalHessian, DimensionMismatch
 from .linalg import as_int, as_vector, try_chol
@@ -264,8 +264,8 @@ class ProductBarrier(Barrier):
     Value adds, gradients concatenate, Hessians and Cholesky factors are
     block diagonal, nu adds. The product point is interior exactly when
     every block is. When every block's Hessian is diagonal the product's is
-    too (the factor diagonals concatenate); otherwise the block-diagonal H
-    and L are assembled densely. Factor i occupies coordinates
+    too (the factor diagonals concatenate); otherwise the blocks' H and L
+    are written into dense n x n arrays. Factor i occupies coordinates
     ``offsets[i]:offsets[i + 1]``.
     """
 
@@ -298,8 +298,10 @@ class ProductBarrier(Barrier):
         if all(isinstance(h, DiagonalHessian) for h in hs):
             hess = DiagonalHessian(np.concatenate([h.l for h in hs]))
             return BarrierEval(True, value, gradient, hess)
-        hessian = block_diag(*(h.toarray() for h in hs))
-        chol = block_diag(*(h.L for h in hs))
+        hessian, chol = np.zeros((self.dim, self.dim)), np.zeros((self.dim, self.dim))
+        for h, lo, hi in zip(hs, self.offsets, self.offsets[1:]):
+            hessian[lo:hi, lo:hi] = h.toarray()
+            chol[lo:hi, lo:hi] = h.L
         return BarrierEval(True, value, gradient, DenseHessian(hessian, chol))
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "EDesignBarrier",
     "build_edesign",
     "random_design_matrix",
-    "grid_objective",
 ]
 
 
@@ -135,33 +134,3 @@ def random_design_matrix(n: int, p: int | None = None, seed: int = 0) -> np.ndar
     if n < 1 or p < n:
         raise ValueError("need p >= n >= 1")
     return np.random.default_rng(seed).standard_normal((n, p))
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def grid_objective(V, resolution: int) -> float:
-    """Brute-force E-design objective over the simplex grid x = k/resolution.
-
-    Enumerates every composition of ``resolution`` into p nonnegative parts
-    and returns the best smallest eigenvalue, a lower bound on the true
-    optimum that converges as the grid refines. Deliberately independent of
-    the solver; used as a verification oracle. Guarded to p <= 6 because the
-    grid grows as C(resolution + p - 1, p - 1).
-    """
-    V = np.asarray(V, dtype=np.float64)
-    n, p = V.shape
-    if p > 6:
-        raise ValueError("grid oracle is limited to p <= 6 candidates")
-    if resolution < 1:
-        raise ValueError("resolution must be positive")
-    X = np.array(list(_compositions(resolution, p)), dtype=np.float64) / resolution
-    outers = np.einsum("ik,jk->kij", V, V)  # stack of v_k v_k'
-    M = np.tensordot(X, outers, axes=(1, 0))
-    return float(np.linalg.eigvalsh(M)[:, 0].max())

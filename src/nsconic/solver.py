@@ -4,28 +4,27 @@ One iteration is a predictor step (aim at the solution, long line search
 inside a wide proximity ball) followed by damped corrector steps that pull
 the iterate back into a tight neighborhood of the central path. Both make
 the same move, written once in ``_step``: solve the Newton system for a
-right-hand side, cap the step at the tau/kappa boundary, then try the steps
-of a schedule until the trial point is interior and its proximity passes
-the caller's test. The corrector's schedule starts at the cap and halves.
-The predictor's is warm-started: it starts near its last accepted step,
-backtracks by a finer factor and falls back to the corrector's schedule
-(see the step-rule constants below). The accepted point's oracle result
-and proximity are carried forward, and each iterate's residuals are
-computed once and shared by the status test, the predictor, the history
-record and the result. When the corrector fails, the predictor point is
-recorded as the iterate and goes through the status test; the failure
-ends the solve only if that point certifies nothing. A point becomes the
-iterate only once it is recorded, so the returned point and its residual
-norms are always those of the last history record, also when a Newton
-system turns singular mid-iteration. The embedding makes infeasibility
-detection a byproduct: a status is returned as soon as the iterate passes
-its certificate test (an optimal point (x, y, s)/tau, a Farkas ray in
-(y, s) or an improving ray in x).
+right-hand side, cap the step at the tau/kappa boundary, then try the
+steps that ``_trials`` generates until the trial point is interior and its
+proximity passes the caller's test. The corrector's search starts at the
+cap and halves. The predictor's is warm-started: it starts near its last
+accepted step, backtracks by a finer factor and falls back to the
+corrector's search (see the step-rule constants below). The accepted
+point's oracle result and proximity are carried forward, and each
+iterate's residuals are computed once and shared by the status test, the
+predictor, the history record and the result. When the corrector fails,
+the predictor point is recorded as the iterate and goes through the status
+test; the failure ends the solve only if that point certifies nothing. A
+point becomes the iterate only once it is recorded, so the returned point
+and its residual norms are always those of the last history record, also
+when a Newton system turns singular mid-iteration. The embedding makes
+infeasibility detection a byproduct: a status is returned as soon as the
+iterate passes its certificate test (an optimal point (x, y, s)/tau, a
+Farkas ray in (y, s) or an improving ray in x).
 """
 
 from __future__ import annotations
 
-import itertools
 import sys
 import time
 from dataclasses import dataclass, field
@@ -87,16 +86,17 @@ class LineSearchError(RuntimeError):
         self.trials = trials
 
 
-# Step-rule constants. ETA is the central-path proximity kept after
-# correction and PRED_BETA the wider ball the predictor may roam. A
-# corrector search starts at the boundary cap and halves the step
-# (LS_FACTOR), for up to LS_MAX_STEPS trials. A predictor search starts at
-# growth times the last accepted predictor step, at most the cap (the first
-# one at the cap), and backtracks by WARM_FACTOR. The growth starts at
-# 1 / WARM_FACTOR, doubles when a search accepts its first trial and is
-# reset otherwise. When growth times the last step is below COLD_START, or
-# when the warm trials all fail, the predictor searches as the corrector
-# does, so its smallest step stays LS_FACTOR**(LS_MAX_STEPS - 1) of the cap.
+# Step-rule constants, read by the one trial generator ``_trials``. ETA is
+# the central-path proximity kept after correction and PRED_BETA the wider
+# ball the predictor may roam. A corrector search starts at the boundary
+# cap and halves the step (LS_FACTOR), for up to LS_MAX_STEPS trials. A
+# predictor search starts at growth times the last accepted predictor step,
+# at most the cap (the first one at the cap), and backtracks by WARM_FACTOR.
+# The growth starts at 1 / WARM_FACTOR, doubles when a search accepts its
+# first trial and is reset otherwise. When growth times the last step is
+# below COLD_START, or when the warm trials all fail, the predictor searches
+# as the corrector does, so its smallest step stays
+# LS_FACTOR**(LS_MAX_STEPS - 1) of the cap.
 ETA = 0.07
 PRED_BETA = 0.5
 MAX_CORR_STEPS = 8
@@ -196,30 +196,31 @@ def _boundary_cap(z: Iterate, d: Direction) -> float:
     return alpha
 
 
-def _backtrack(start, factor):
-    """LS_MAX_STEPS trial steps from start, each factor times the one before."""
-    alpha = start
-    for _ in range(LS_MAX_STEPS):
-        yield alpha
-        alpha *= factor
+def _trials(cap, start):
+    """A line search's trial steps, each the one before times a factor.
+
+    When start >= COLD_START, LS_MAX_STEPS steps from min(cap, start) by
+    WARM_FACTOR; then, always, LS_MAX_STEPS steps from cap by LS_FACTOR.
+    """
+    warm = [(min(cap, start), WARM_FACTOR)] if start >= COLD_START else []
+    for alpha, factor in warm + [(cap, LS_FACTOR)]:
+        for _ in range(LS_MAX_STEPS):
+            yield alpha
+            alpha *= factor
 
 
-def _halving(cap):
-    return _backtrack(cap, LS_FACTOR)
-
-
-def _step(prob, oracle, z, ev, rhs, accept, failure, schedule=_halving):
-    """Newton direction for rhs, then the trial steps of ``schedule(cap)``.
+def _step(prob, oracle, z, ev, rhs, accept, failure, start, trials):
+    """Newton direction for rhs, then the steps of ``_trials(cap, start)``.
 
     Returns the first trial point that is interior with a positive gap and
     whose proximity passes ``accept``, as (point, oracle result, step,
-    proximity, trials). When every trial fails, raises LineSearchError
-    with the message ``failure``.
+    proximity, trials), where ``trials`` is the count passed in plus this
+    search's oracle calls. When every trial fails, raises LineSearchError
+    with the message ``failure`` and that count.
     """
     nu = oracle.nu
     d = newton_solve(prob, z, gap(z, nu), ev, rhs)
-    trials = 0
-    for alpha in schedule(_boundary_cap(z, d)):
+    for alpha in _trials(_boundary_cap(z, d), start):
         trials += 1
         zt = z.step(d, alpha)
         evt = oracle.eval(zt.x)
@@ -230,25 +231,17 @@ def _step(prob, oracle, z, ev, rhs, accept, failure, schedule=_halving):
     raise LineSearchError(failure, trials)
 
 
-def _warm_trials(cap, start):
-    """Trials from min(cap, start) by WARM_FACTOR, then the halving ones."""
-    if start < COLD_START:
-        return _halving(cap)
-    return itertools.chain(_backtrack(min(cap, start), WARM_FACTOR), _halving(cap))
-
-
 def _predictor(prob, oracle, z, ev, res, start):
     """Aim at the embedding solution, backtrack into the PRED_BETA ball."""
     rhs = NewtonRhs(-res.primal, -res.dual, -res.gap, -z.s, -z.kappa)
     failure = "predictor line search found no acceptable step"
-    return _step(
-        prob, oracle, z, ev, rhs, lambda p: p <= PRED_BETA, failure,
-        lambda cap: _warm_trials(cap, start),
-    )
+    return _step(prob, oracle, z, ev, rhs, lambda p: p <= PRED_BETA, failure, start, 0)
 
 
 def _corrector(prob, oracle, z, ev, prox):
-    """Damped centering steps until the iterate is back within ETA."""
+    """Damped centering steps until the iterate is back within ETA.
+
+    Each step's search is the cold one (start 0.0 < COLD_START)."""
     trials = 0
     for k in range(MAX_CORR_STEPS + 1):
         if prox <= ETA:
@@ -257,17 +250,11 @@ def _corrector(prob, oracle, z, ev, prox):
             raise LineSearchError("corrector failed to re-center the iterate", trials)
         mu = gap(z, oracle.nu)
         psi_x, psi_k = centrality_residual(z, mu, ev.gradient)
-        rhs = NewtonRhs(
-            np.zeros(prob.m), np.zeros(prob.n), 0.0, -psi_x, -psi_k
+        rhs = NewtonRhs(np.zeros(prob.m), np.zeros(prob.n), 0.0, -psi_x, -psi_k)
+        failure = "corrector step stalled"
+        z, ev, _, prox, trials = _step(
+            prob, oracle, z, ev, rhs, lambda p: p < prox, failure, 0.0, trials
         )
-        try:
-            z, ev, _, prox, t = _step(
-                prob, oracle, z, ev, rhs, lambda p: p < prox, "corrector step stalled"
-            )
-        except LineSearchError as exc:
-            exc.trials += trials
-            raise
-        trials += t
 
 
 def _classify(z, res, prob, eps):
@@ -303,12 +290,8 @@ def _build_result(status, detail, z, res, prob, nu, history, t0):
         "gap": abs(res.gap),
         "mu": gap(z, nu),
     }
-    if status is SolverStatus.OPTIMAL:
-        x = z.x / z.tau
-        y = z.y / z.tau
-        s = z.s / z.tau
-    else:
-        x, y, s = z.x.copy(), z.y.copy(), z.s.copy()
+    scale = z.tau if status is SolverStatus.OPTIMAL else 1.0
+    x, y, s = z.x / scale, z.y / scale, z.s / scale
     status_string = _STATUS_STRINGS[status]
     if detail:
         status_string = f"{status_string}: {detail}"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import nsconic.barriers
 import nsconic.linalg
@@ -17,6 +18,8 @@ from nsconic.barriers import (
 from nsconic.cones import ConeSpec, block_oracle
 from nsconic.edesign import EDesignBarrier
 from nsconic.linalg import DenseHessian, DiagonalHessian, DimensionMismatch
+
+from _util import sample_block
 
 # interior samplers keep points comfortably away from the boundary so that
 # finite-difference probes stay interior
@@ -441,6 +444,30 @@ def test_product_hessian_kind_follows_its_factors():
         ]
     )
     np.testing.assert_array_equal(ev.hessian.half_solve(v), expected)
+
+
+def test_mixed_product_assembles_its_blocks_exactly():
+    # H and L are the blocks' own arrays on the diagonal, bit for bit, with
+    # scipy's block_diag as the reference
+    rng = np.random.default_rng(3)
+    factors = [
+        NonnegativeBarrier(2),
+        SecondOrderBarrier(3),
+        ExponentialBarrier(),
+        PowerBarrier([0.3, 0.7]),
+        NonnegativeBarrier(1),
+        SecondOrderBarrier(2),
+    ]
+    prod = ProductBarrier(factors)
+    for _ in range(5):
+        x = sample_block(prod, rng)
+        ev = prod.eval(x)
+        assert isinstance(ev.hessian, DenseHessian)
+        blocks = [f.eval(xb).hessian for f, xb in zip(factors, prod.blocks(x))]
+        expected_H = block_diag(*(h.toarray() for h in blocks))
+        expected_L = block_diag(*(h.L for h in blocks))
+        np.testing.assert_array_equal(ev.hessian.toarray(), expected_H)
+        np.testing.assert_array_equal(ev.hessian.L, expected_L)
 
 
 def test_product_initial_point_concatenates():

@@ -5,7 +5,9 @@
 ``save_problem``, reads it back with ``load_problem`` and solves it with
 ``solve_cones``. Each ``edesign`` instance is built by ``build_edesign`` and
 solved with ``solve``. A change to any of these that the benchmark relies on
-must fail here rather than only in a benchmark run.
+must fail here rather than only in a benchmark run. The traced runs also
+cover ``--trace 1``: its span wrappers, the per-layer metrics and the
+coverage figure.
 """
 
 import json
@@ -14,17 +16,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_benchmark(workload):
+def run_benchmark(workload, trace=0):
     cmd = [
         sys.executable,
         str(ROOT / "bench" / "run.py"),
         "--workload", workload,
         "--seed", "1",
         "--seconds", "0.01",
-        "--trace", "0",
+        "--trace", str(trace),
     ]
     # like bench/run.py, leave no bytecode cache inside bench/
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -43,3 +47,11 @@ def test_edesign_benchmark_builds_and_solves():
     out = run_benchmark("edesign")
     assert out["correct"] is True
     assert out["attempted"] == 6
+
+
+@pytest.mark.parametrize("workload", ["lp_sparse", "edesign"])
+def test_traced_benchmark_covers_the_solve(workload):
+    out = run_benchmark(workload, trace=1)
+    assert out["correct"] is True
+    assert out["failed"] == 0
+    assert out["metrics"]["trace.coverage"]["value"] >= 0.99

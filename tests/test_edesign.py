@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from nsconic.barriers import fd_check
-from nsconic.edesign import (
-    EDesignBarrier,
-    build_edesign,
-    grid_objective,
-    random_design_matrix,
-)
+from nsconic.edesign import EDesignBarrier, build_edesign, random_design_matrix
 from nsconic.solver import SolverOptions, SolverStatus, solve
+
+from _util import grid_objective
 
 
 def sample_design_point(V, rng):

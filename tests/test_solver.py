@@ -412,13 +412,19 @@ def test_a_stalled_corrector_counts_its_trials(monkeypatch):
         return real_eval(self, x)
 
     monkeypatch.setattr(Barrier, "eval", counted_eval)
+    alphas, caps = _record_line_searches(monkeypatch)
     res = solve(lp_problem(), NonnegativeBarrier(2))
     assert res.status is SolverStatus.NUMERICAL_ERROR
     assert "corrector step stalled" in res.status_string
     (rec,) = res.history
     assert rec.corrector_steps == 0
-    assert rec.corr_trials == 1 + nsconic.solver.LS_MAX_STEPS
+    n = nsconic.solver.LS_MAX_STEPS
+    assert rec.corr_trials == 1 + n
     assert len(evals) == 1 + rec.pred_trials + rec.corr_trials
+    # one predictor and two corrector searches; the stalled one is the cold
+    # search, from its cap halving down to 2^-59 of it
+    assert len(caps) == 3 and len(alphas) == rec.pred_trials + 1 + n
+    assert alphas[-n:] == [caps[-1] * 0.5**k for k in range(n)]
 
 
 def test_singular_system_in_the_corrector_returns_the_last_recorded_iterate(
