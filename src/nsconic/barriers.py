@@ -3,20 +3,21 @@
 Each oracle answers two queries about a point of its cone. ``eval(x)``
 returns the barrier value, the gradient and the factored Hessian at x, or
 ``EXTERIOR``. The factored Hessian is an object (``DiagonalHessian`` or
-``DenseHessian`` from ``linalg``) that multiplies, solves with H and with its
-lower Cholesky factor L, and forms L^{-1} A' for the Newton solve. A
-separable barrier returns the diagonal kind, whose factor is free and which
-never builds an n x n array. Other oracles return the dense kind. Where H =
-G'G for a known G, ``Barrier._finish_qr`` takes L from a QR of G (LAPACK
-``geqrf``), so cond(H) is never squared: the exponential cone's G stacks the
-four rank-one terms of its Hessian, the power cone's stacks two rank-one
-terms, the scaled factor of -hess(prod x_i^w_i) and a diagonal, and a
-pullback's is the inner factor times the map. The second-order cone passes
-H to ``Barrier._finish``, which factors it by Cholesky; a product with a
-dense block assembles its H and L from the blocks'. ``contains(x)`` answers
-membership alone, as ``eval(x).in_interior``. The solver only ever talks to
-cones through this interface, so adding a cone means adding one oracle class
-that implements ``_evaluate(x)``.
+``DenseHessian`` from ``linalg``) that holds the Hessian H = LL' as its
+lower Cholesky factor L alone; it multiplies and solves with H and with L
+and forms L^{-1} A' for the Newton solve. A separable barrier returns the
+diagonal kind, whose factor is free and which never builds an n x n array.
+Other oracles return the dense kind. Where H = G'G for a known G,
+``Barrier._finish_qr`` takes L from a QR of G (LAPACK ``geqrf``), so
+cond(H) is never squared and H is never formed: the exponential cone's G
+stacks the four rank-one terms of its Hessian, the power cone's stacks two
+rank-one terms, the scaled factor of -hess(prod x_i^w_i) and a diagonal,
+and a pullback's is the inner factor times the map. The second-order cone
+passes H to ``Barrier._finish``, which keeps only its Cholesky factor; a
+product with a dense block writes its blocks' factors into one L.
+``contains(x)`` answers membership alone, as ``eval(x).in_interior``. The
+solver only ever talks to cones through this interface, so adding a cone
+means adding one oracle class that implements ``_evaluate(x)``.
 
 Points on the cone boundary count as exterior; all membership tests use
 strict inequalities. A Hessian whose factorization breaks down numerically
@@ -102,11 +103,11 @@ class Barrier:
         raise NotImplementedError
 
     def _finish(self, value, gradient, hessian) -> BarrierEval:
-        """Assemble an interior result, factoring the dense Hessian."""
+        """Assemble an interior result from the dense Hessian's Cholesky factor."""
         chol = try_chol(hessian)
         if chol is None:
             return EXTERIOR
-        return BarrierEval(True, value, gradient, DenseHessian(hessian, chol))
+        return BarrierEval(True, value, gradient, DenseHessian(chol))
 
     def _finish_qr(self, value, gradient, G) -> BarrierEval:
         """Assemble an interior result for H = G'G, factored by a QR of G.
@@ -120,7 +121,7 @@ class Barrier:
         chol = r.T * np.sign(np.diag(r))
         if not ((np.diag(chol) > 0.0).all() and np.isfinite(chol).all()):
             return EXTERIOR
-        return BarrierEval(True, value, gradient, DenseHessian(G.T @ G, chol))
+        return BarrierEval(True, value, gradient, DenseHessian(chol))
 
 
 class NonnegativeBarrier(Barrier):
@@ -264,8 +265,8 @@ class ProductBarrier(Barrier):
     Value adds, gradients concatenate, Hessians and Cholesky factors are
     block diagonal, nu adds. The product point is interior exactly when
     every block is. When every block's Hessian is diagonal the product's is
-    too (the factor diagonals concatenate); otherwise the blocks' H and L
-    are written into dense n x n arrays. Factor i occupies coordinates
+    too (the factor diagonals concatenate); otherwise the blocks' factors
+    are written into one dense n x n L. Factor i occupies coordinates
     ``offsets[i]:offsets[i + 1]``.
     """
 
@@ -298,11 +299,10 @@ class ProductBarrier(Barrier):
         if all(isinstance(h, DiagonalHessian) for h in hs):
             hess = DiagonalHessian(np.concatenate([h.l for h in hs]))
             return BarrierEval(True, value, gradient, hess)
-        hessian, chol = np.zeros((self.dim, self.dim)), np.zeros((self.dim, self.dim))
+        chol = np.zeros((self.dim, self.dim))
         for h, lo, hi in zip(hs, self.offsets, self.offsets[1:]):
-            hessian[lo:hi, lo:hi] = h.toarray()
             chol[lo:hi, lo:hi] = h.L
-        return BarrierEval(True, value, gradient, DenseHessian(hessian, chol))
+        return BarrierEval(True, value, gradient, DenseHessian(chol))
 
 
 class PullbackBarrier(Barrier):

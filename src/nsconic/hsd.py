@@ -174,9 +174,9 @@ def newton_solve(
     from the oracle's Hessian object (the factor of mu H is sqrt(mu) L, so no
     refactorization happens here); W is sparse for a diagonal Hessian, and
     N is factored densely. One round of iterative refinement against the
-    full system cleans up the direction. A Cholesky breakdown of the reduced
-    matrix is retried once with a small trace-scaled diagonal shift before
-    giving up.
+    full system, with H = LL' as every solve uses it, cleans up the
+    direction. A Cholesky breakdown of the reduced matrix is retried once
+    with a small trace-scaled diagonal shift before giving up.
     """
     A, b, c = prob.A, prob.b, prob.c
     m = prob.m

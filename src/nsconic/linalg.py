@@ -219,14 +219,13 @@ class DiagonalHessian:
 
 
 class DenseHessian:
-    """A dense Hessian H with its lower Cholesky factor L."""
+    """H = L L' for a dense barrier, held as its lower Cholesky factor L alone."""
 
-    def __init__(self, H, L):
-        self.H = H
+    def __init__(self, L):
         self.L = L
 
     def __matmul__(self, v) -> np.ndarray:
-        return self.H @ v
+        return self.L @ (self.L.T @ v)
 
     def half_solve(self, v) -> np.ndarray:
         """L^{-1} v."""
@@ -241,4 +240,4 @@ class DenseHessian:
         return solve_lower(self.L, A.toarray().T)
 
     def toarray(self) -> np.ndarray:
-        return self.H
+        return self.L @ self.L.T

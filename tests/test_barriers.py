@@ -324,6 +324,11 @@ def test_shape_mismatch_raises():
         NonnegativeBarrier(3).eval(np.ones(4))
 
 
+def test_an_oracle_without_evaluate_raises():
+    with pytest.raises(NotImplementedError):
+        Barrier(2, nu=2.0).eval(np.ones(2))
+
+
 # ------------------------------------------------------- barrier identities
 
 
@@ -447,8 +452,9 @@ def test_product_hessian_kind_follows_its_factors():
 
 
 def test_mixed_product_assembles_its_blocks_exactly():
-    # H and L are the blocks' own arrays on the diagonal, bit for bit, with
-    # scipy's block_diag as the reference
+    # L is the blocks' own factors on the diagonal, bit for bit, with scipy's
+    # block_diag as the reference; H = LL' is formed on demand, so it agrees
+    # with the blocks' H to rounding
     rng = np.random.default_rng(3)
     factors = [
         NonnegativeBarrier(2),
@@ -466,7 +472,8 @@ def test_mixed_product_assembles_its_blocks_exactly():
         blocks = [f.eval(xb).hessian for f, xb in zip(factors, prod.blocks(x))]
         expected_H = block_diag(*(h.toarray() for h in blocks))
         expected_L = block_diag(*(h.L for h in blocks))
-        np.testing.assert_array_equal(ev.hessian.toarray(), expected_H)
+        H = ev.hessian.toarray()
+        np.testing.assert_allclose(H, expected_H, rtol=1e-13, atol=0)
         np.testing.assert_array_equal(ev.hessian.L, expected_L)
 
 

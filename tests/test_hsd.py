@@ -12,10 +12,12 @@ from _util import (
 )
 
 from nsconic.barriers import NonnegativeBarrier, ProductBarrier
+from nsconic.generators import random_lp
 from nsconic.hsd import (
     Iterate,
     NewtonRhs,
     ProblemData,
+    SingularSystemError,
     centrality_residual,
     gap,
     newton_solve,
@@ -341,3 +343,14 @@ def test_proximity_on_diagonal_hessian_matches_dense_reference(oracle):
         H = ev.hessian.toarray()
         expected = np.sqrt(psi_x @ np.linalg.solve(H, psi_x) + (z.tau * z.kappa - mu) ** 2) / mu
         np.testing.assert_allclose(proximity(z, ev, oracle.nu), expected, rtol=1e-9)
+
+
+def test_an_infinite_bordering_scalar_raises():
+    # at mu = inf the bordering scalar's gamma = mu / tau^2 is not finite
+    prob, x_hat = random_lp(5, 12, 0)
+    oracle = NonnegativeBarrier(prob.n)
+    ev = oracle.eval(x_hat)
+    z = Iterate(np.zeros(prob.m), x_hat, 1.0, -ev.gradient, 1.0)
+    message = "tau bordering lost positive definiteness"
+    with pytest.raises(SingularSystemError, match=message):
+        newton_solve(prob, z, np.inf, ev, predictor_rhs(z, prob))

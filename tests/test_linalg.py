@@ -276,7 +276,7 @@ def _hessian(kind, rng, n):
         return DiagonalHessian(l), np.diag(l)
     B = rng.standard_normal((n, n))
     L = np.linalg.cholesky(B @ B.T + n * np.eye(n))
-    return DenseHessian(L @ L.T, L), L
+    return DenseHessian(L), L
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "dense"])
