@@ -194,6 +194,7 @@ def _cone_entry(spec) -> dict:
 def result_document(result: SolverResult) -> dict:
     """Serializable view of a result; solveSeconds is the only varying field.
 
+    ``history`` holds one object per iteration record, with its trial counts.
     JSON has no NaN or infinity, so a non-finite number is written as null.
     """
     return {
@@ -208,6 +209,21 @@ def result_document(result: SolverResult) -> dict:
         "x": [_number(v) for v in result.x],
         "y": [_number(v) for v in result.y],
         "s": [_number(v) for v in result.s],
+        "history": [
+            {
+                "iteration": rec.iteration,
+                "mu": _number(rec.mu),
+                "primalNorm": _number(rec.primal_norm),
+                "dualNorm": _number(rec.dual_norm),
+                "gapAbs": _number(rec.gap_abs),
+                "step": _number(rec.step),
+                "correctorSteps": rec.corrector_steps,
+                "prox": _number(rec.prox),
+                "predTrials": rec.pred_trials,
+                "corrTrials": rec.corr_trials,
+            }
+            for rec in result.history
+        ],
         "solveSeconds": result.solve_seconds,
     }
 

@@ -7,8 +7,8 @@ the same move, written once in ``_step``: solve the Newton system for a
 right-hand side, cap the step at the tau/kappa boundary, then try the
 steps that ``_trials`` generates until the trial point is interior and its
 proximity passes the caller's test. The corrector's search starts at the
-cap and halves. The predictor's is warm-started: it starts near its last
-accepted step, backtracks by a finer factor and falls back to the
+cap and halves. The predictor's starts at the step a fitted proximity
+model predicts, backtracks by a finer factor and falls back to the
 corrector's search (see the step-rule constants below). The accepted
 point's oracle result and proximity are carried forward, and each
 iterate's residuals are computed once and shared by the status test, the
@@ -86,18 +86,20 @@ class LineSearchError(RuntimeError):
         self.trials = trials
 
 
-# Step-rule constants, read by the one trial generator ``_trials``. ETA is
+# Step-rule constants, read by ``_trials`` and ``_predictor_start``. ETA is
 # the central-path proximity kept after correction and PRED_BETA the wider
 # ball the predictor may roam. A corrector search starts at the boundary
 # cap and halves the step (LS_FACTOR), for up to LS_MAX_STEPS trials. A
-# predictor search starts at growth times the last accepted predictor step,
-# at most the cap (the first one at the cap), and backtracks by WARM_FACTOR.
-# The growth starts at 1 / WARM_FACTOR, doubles when a search accepts its
-# first trial and is reset otherwise. When growth times the last step is
-# below COLD_START, or when the warm trials all fail, the predictor searches
-# as the corrector does, so its smallest step stays
+# predictor search that steps a from proximity p0 to p fits K = max(p - p0,
+# 0)(1 - a) / a^2 in p(a) = p0 + K a^2 / (1 - a); the next one starts where
+# that model, from the new p0, reaches THETA * PRED_BETA, at most at twice
+# the last step (the first at the cap), and backtracks by WARM_FACTOR. When
+# the start is below COLD_START, p0 is past THETA * PRED_BETA, the last step
+# was below WARM_FACTOR * COLD_START, or the warm trials all fail, it
+# searches as the corrector does, so its smallest step stays
 # LS_FACTOR**(LS_MAX_STEPS - 1) of the cap.
 ETA = 0.07
+THETA = 0.8
 PRED_BETA = 0.5
 MAX_CORR_STEPS = 8
 LS_FACTOR = 0.5
@@ -231,6 +233,16 @@ def _step(prob, oracle, z, ev, rhs, accept, failure, start, trials):
     raise LineSearchError(failure, trials)
 
 
+def _predictor_start(last, fit, p0):
+    """The root a of p0 + fit a^2 / (1 - a) = THETA * PRED_BETA, at most 2 last."""
+    if last == np.inf:
+        return last
+    c = THETA * PRED_BETA - p0
+    if c <= 0.0 or last < WARM_FACTOR * COLD_START:
+        return 0.0
+    return min(2.0 * last, 2.0 * c / (c + np.sqrt(c * c + 4.0 * fit * c)))
+
+
 def _predictor(prob, oracle, z, ev, res, start):
     """Aim at the embedding solution, backtrack into the PRED_BETA ball."""
     rhs = NewtonRhs(-res.primal, -res.dual, -res.gap, -z.s, -z.kappa)
@@ -355,7 +367,7 @@ def solve(
     status = SolverStatus.ITERATION_LIMIT
     detail = ""
     stalled = None
-    last_step, growth = np.inf, 1.0 / WARM_FACTOR  # the predictor's warm start
+    last_step, fit, prox = np.inf, 0.0, 0.0  # the start point is central
     try:
         if not np.isfinite(res.norm()):
             raise OverflowError(
@@ -370,11 +382,9 @@ def solve(
                 raise stalled
             if it == opts.max_iter:
                 break
-            zt, ev, alpha, prox, ptrials = _predictor(
-                prob, oracle, z, ev, res, growth * last_step
-            )
-            growth = 2.0 * growth if ptrials == 1 else 1.0 / WARM_FACTOR
-            last_step = alpha
+            p0, start = prox, _predictor_start(last_step, fit, prox)
+            zt, ev, alpha, prox, ptrials = _predictor(prob, oracle, z, ev, res, start)
+            last_step, fit = alpha, max(prox - p0, 0.0) * (1.0 - alpha) / alpha**2
             try:
                 zt, ev, prox, ncorr, ctrials = _corrector(prob, oracle, zt, ev, prox)
             except LineSearchError as exc:

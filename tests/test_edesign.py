@@ -88,6 +88,21 @@ def test_barrier_matches_finite_differences():
             assert report.ok()
 
 
+@pytest.mark.parametrize("n, p", [(1, 2), (5, 10), (200, 400)])
+def test_tt_hessian_entry_matches_the_full_inverse_product(n, p):
+    # |M^{-1}|_F^2 from lauum's lower triangle against the full Li' Li product
+    rng = np.random.default_rng(7 + n)
+    V = rng.standard_normal((n, p))
+    v = sample_design_point(V, rng)
+    ev = EDesignBarrier(V).eval(v)
+    M = (V * v[1:]) @ V.T - v[0] * np.eye(n)
+    Li = np.linalg.inv(np.linalg.cholesky(M))
+    Minv = Li.T @ Li
+    expected = np.einsum("ij,ij->", Minv, Minv)
+    # the dense Hessian is its factor L, and L[0, 1:] is zero
+    assert abs(ev.hessian.L[0, 0] ** 2 - expected) <= 1e-13 * expected
+
+
 def test_build_edesign_structure():
     V = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 1.0]])
     prob, barrier, x0 = build_edesign(V)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -339,6 +340,22 @@ def test_result_document_layout(tmp_path):
     assert len(doc["x"]) == 2 and len(doc["y"]) == 1 and len(doc["s"]) == 2
     # must be plain-JSON serializable
     json.dumps(doc)
+
+
+def test_result_document_carries_the_history(tmp_path):
+    result = solved_result(tmp_path)
+    doc = result_document(result)
+    assert list(doc)[-2] == "history"
+    assert len(doc["history"]) == result.iterations > 0
+    for rec, entry in zip(result.history, doc["history"]):
+        # every field of the record, under its camelCase name
+        expected = {}
+        for name, value in dataclasses.asdict(rec).items():
+            head, *rest = name.split("_")
+            expected[head + "".join(w.capitalize() for w in rest)] = value
+        assert entry == expected
+        assert type(entry["predTrials"]) is int and entry["predTrials"] >= 1
+    json.dumps(doc, allow_nan=False)
 
 
 def test_write_result_path_and_file_object(tmp_path):

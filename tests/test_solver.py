@@ -531,27 +531,81 @@ def _edesign_case():
     return build_edesign(random_design_matrix(4, 8, seed=1))
 
 
+def _fitted_start(last, fit, p0):
+    """The positive root a of fit a^2 + c a - c = 0, c = THETA * PRED_BETA - p0,
+    at most 2 last: where p0 + fit a^2 / (1 - a) reaches THETA * PRED_BETA."""
+    c = nsconic.solver.THETA * nsconic.solver.PRED_BETA - p0
+    return min(2.0 * last, 2.0 * c / (c + np.sqrt(c * c + 4.0 * fit * c)))
+
+
 @pytest.mark.parametrize("case", [_lp_case, _edesign_case], ids=["random_lp", "edesign"])
 def test_predictor_starts_near_its_last_step(monkeypatch, case):
     prob, oracle, x0 = case()
+    accepted = []  # (step, proximity) each predictor search accepted
+    real_predictor = nsconic.solver._predictor
+
+    def predictor(*args):
+        out = real_predictor(*args)
+        accepted.append(out[2:4])
+        return out
+
+    monkeypatch.setattr(nsconic.solver, "_predictor", predictor)
     alphas, caps = _record_line_searches(monkeypatch)
     res = solve(prob, oracle, x0)
     assert res.status is SolverStatus.OPTIMAL
-    f = nsconic.solver.WARM_FACTOR
-    last, growth, doubled, warm = np.inf, 1.0 / f, 0, 0
-    for (cap, trials), rec in zip(_predictor_searches(res, alphas, caps), res.history):
-        assert growth * last >= nsconic.solver.COLD_START
-        # the first search starts at the cap, every later one at growth * last
-        assert trials[0] == min(cap, growth * last)
-        assert trials[-1] == rec.step
-        np.testing.assert_allclose(_ratios(trials), f, rtol=1e-12)
+    searches = _predictor_searches(res, alphas, caps)
+    assert len(accepted) == len(searches) == len(res.history)
+    last, fit, p0, fitted, warm = np.inf, 0.0, 0.0, 0, 0
+    for (cap, trials), rec, (alpha, p) in zip(searches, res.history, accepted):
+        # the first search starts at the cap, every later one at the root of
+        # the proximity model fitted to the search before, at most 2 last
+        start = _fitted_start(last, fit, p0) if last < np.inf else cap
+        # no search here is cold
+        assert start >= nsconic.solver.COLD_START
+        assert last >= nsconic.solver.WARM_FACTOR * nsconic.solver.COLD_START
+        np.testing.assert_allclose(trials[0], min(cap, start), rtol=1e-14)
+        assert trials[-1] == rec.step == alpha and p <= nsconic.solver.PRED_BETA
+        np.testing.assert_allclose(_ratios(trials), nsconic.solver.WARM_FACTOR)
+        fitted += start < min(cap, 2.0 * last)
         warm += trials[0] < cap
-        if rec.pred_trials == 1:
-            growth, doubled = 2.0 * growth, doubled + 1
-        else:
-            growth = 1.0 / f
-        last = rec.step
-    assert doubled > 0 and warm > 0
+        fit = max(p - p0, 0.0) * (1.0 - alpha) / alpha**2
+        last, p0 = alpha, rec.prox
+    assert fitted > 0 and warm > 0
+
+
+@pytest.mark.parametrize("p0", [0.0, 0.03, 0.07])
+@pytest.mark.parametrize("fit", [1e-3, 0.3, 2.5, 9.0, 1e4])
+def test_predictor_start_is_the_root_of_the_proximity_model(p0, fit):
+    target = nsconic.solver.THETA * nsconic.solver.PRED_BETA
+    a = nsconic.solver._predictor_start(1.0, fit, p0)
+    assert 0.0 < a < 1.0
+    assert abs(p0 + fit * a * a / (1.0 - a) - target) <= 1e-12
+    # at most twice the last step
+    assert nsconic.solver._predictor_start(a / 4.0, fit, p0) == a / 2.0
+
+
+def test_predictor_start_without_a_fit_or_room():
+    start = nsconic.solver._predictor_start
+    target = nsconic.solver.THETA * nsconic.solver.PRED_BETA
+    # K -> 0: the root rises to 1, so with no fit the start is twice the last step
+    roots = [start(1.0, k, 0.05) for k in (1e-4, 1e-8, 1e-12)]
+    assert roots == sorted(roots) and 1.0 - roots[-1] < 1e-11
+    assert start(0.3, 0.0, 0.05) == 0.6
+    # no room left below the target (c <= 0) or a tiny last step: cold
+    assert start(0.3, 2.5, target) == start(0.3, 2.5, 0.5) == 0.0
+    assert start(0.7e-3, 0.0, 0.0) == 0.0
+    # the first search starts at the cap
+    assert start(np.inf, 0.0, 0.0) == np.inf
+    assert start(np.inf, 0.0, 1.0) == np.inf
+
+
+def test_predictor_takes_few_trials_on_an_edesign():
+    # the size and tolerance of the edesign benchmark workload
+    prob, oracle, x0 = build_edesign(random_design_matrix(200, 400, seed=0))
+    res = solve(prob, oracle, x0, SolverOptions(optim_tol=1e-8))
+    assert res.status is SolverStatus.OPTIMAL
+    trials = [rec.pred_trials for rec in res.history]
+    assert np.mean(trials) < 1.5
 
 
 def test_predictor_starts_cold_after_a_tiny_step(monkeypatch):
