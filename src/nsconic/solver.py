@@ -93,11 +93,11 @@ class LineSearchError(RuntimeError):
 # predictor search that steps a from proximity p0 to p fits K = max(p - p0,
 # 0)(1 - a) / a^2 in p(a) = p0 + K a^2 / (1 - a); the next one starts where
 # that model, from the new p0, reaches THETA * PRED_BETA, at most at twice
-# the last step (the first at the cap), and backtracks by WARM_FACTOR. When
-# the start is below COLD_START, p0 is past THETA * PRED_BETA, the last step
-# was below WARM_FACTOR * COLD_START, or the warm trials all fail, it
-# searches as the corrector does, so its smallest step stays
-# LS_FACTOR**(LS_MAX_STEPS - 1) of the cap.
+# the last step (the first at the cap), and backtracks by WARM_FACTOR; the
+# new p0 is at most ETA, below that target. When the start is below
+# COLD_START, the last step was below WARM_FACTOR * COLD_START, or the warm
+# trials all fail, it searches as the corrector does, so its smallest step
+# stays LS_FACTOR**(LS_MAX_STEPS - 1) of the cap.
 ETA = 0.07
 THETA = 0.8
 PRED_BETA = 0.5
@@ -237,9 +237,9 @@ def _predictor_start(last, fit, p0):
     """The root a of p0 + fit a^2 / (1 - a) = THETA * PRED_BETA, at most 2 last."""
     if last == np.inf:
         return last
-    c = THETA * PRED_BETA - p0
-    if c <= 0.0 or last < WARM_FACTOR * COLD_START:
+    if last < WARM_FACTOR * COLD_START:
         return 0.0
+    c = THETA * PRED_BETA - p0  # p0 <= ETA: the corrector re-centered it
     return min(2.0 * last, 2.0 * c / (c + np.sqrt(c * c + 4.0 * fit * c)))
 
 

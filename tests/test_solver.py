@@ -565,7 +565,8 @@ def test_predictor_starts_near_its_last_step(monkeypatch, case):
         assert last >= nsconic.solver.WARM_FACTOR * nsconic.solver.COLD_START
         np.testing.assert_allclose(trials[0], min(cap, start), rtol=1e-14)
         assert trials[-1] == rec.step == alpha and p <= nsconic.solver.PRED_BETA
-        np.testing.assert_allclose(_ratios(trials), nsconic.solver.WARM_FACTOR)
+        f = nsconic.solver.WARM_FACTOR
+        np.testing.assert_allclose(_ratios(trials), f, rtol=1e-12)
         fitted += start < min(cap, 2.0 * last)
         warm += trials[0] < cap
         fit = max(p - p0, 0.0) * (1.0 - alpha) / alpha**2
@@ -584,15 +585,13 @@ def test_predictor_start_is_the_root_of_the_proximity_model(p0, fit):
     assert nsconic.solver._predictor_start(a / 4.0, fit, p0) == a / 2.0
 
 
-def test_predictor_start_without_a_fit_or_room():
+def test_predictor_start_without_a_fit():
     start = nsconic.solver._predictor_start
-    target = nsconic.solver.THETA * nsconic.solver.PRED_BETA
     # K -> 0: the root rises to 1, so with no fit the start is twice the last step
     roots = [start(1.0, k, 0.05) for k in (1e-4, 1e-8, 1e-12)]
     assert roots == sorted(roots) and 1.0 - roots[-1] < 1e-11
     assert start(0.3, 0.0, 0.05) == 0.6
-    # no room left below the target (c <= 0) or a tiny last step: cold
-    assert start(0.3, 2.5, target) == start(0.3, 2.5, 0.5) == 0.0
+    # a last step below WARM_FACTOR * COLD_START: cold
     assert start(0.7e-3, 0.0, 0.0) == 0.0
     # the first search starts at the cap
     assert start(np.inf, 0.0, 0.0) == np.inf
@@ -639,6 +638,6 @@ def test_predictor_starts_cold_after_a_tiny_step(monkeypatch):
     (cap1, first), (cap2, second) = searches[:2]
     assert len(first) == 35 and first[-1] == res.history[0].step
     assert first[-1] / cap1 < nsconic.solver.COLD_START
-    # growth * last is below COLD_START: start at the cap and halve
+    # the last step is below WARM_FACTOR * COLD_START: start at the cap and halve
     assert second[0] == cap2 and len(second) >= 2
     assert _ratios(second) == [nsconic.solver.LS_FACTOR] * (len(second) - 1)
