@@ -92,13 +92,12 @@ class EDesignBarrier(Barrier):
         # S = W'W, S[i, j] = v_i' M^{-1} v_j, goes straight into the x block;
         # numpy runs W.T @ W as a syrk, so S and the Hessian are exactly symmetric
         np.matmul(W.T, W, out=hxx)
-        # squaring the whole contiguous buffer is faster than squaring the
-        # strided x block; the zeroed t row and column are filled in below
+        # squaring the whole contiguous buffer beats squaring the strided x
+        # block; potrf reads the zeroed t column, filled in below, not the t row
         np.multiply(hessian, hessian, out=hessian)
         hxx[np.diag_indices(p)] += 1.0 / (x * x)
         U = blas.dtrmm(1.0, Li, W, lower=1, trans_a=1, overwrite_b=1)
         htx = -np.einsum("ij,ij->j", U, U)
-        hessian[0, 1:] = htx
         hessian[1:, 0] = htx
         # lauum overwrites Li's lower triangle with the lower triangle of
         # M^{-1} = Li' Li; the strict upper one stays zero, so |M^{-1}|_F^2

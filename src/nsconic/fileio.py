@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields, is_dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -192,40 +194,31 @@ def _cone_entry(spec) -> dict:
 
 
 def result_document(result: SolverResult) -> dict:
-    """Serializable view of a result; solveSeconds is the only varying field.
+    """Serializable view of a result; the solve time is its only varying field.
 
-    ``history`` holds one object per iteration record, with its trial counts.
-    JSON has no NaN or infinity, so a non-finite number is written as null.
+    Each field of the result, and of each iteration record in its history, is
+    under its camelCase name in field order; a non-finite number is null.
     """
-    return {
-        "status": result.status.value,
-        "statusString": result.status_string,
-        "pObj": _number(result.p_obj),
-        "dObj": _number(result.d_obj),
-        "iterations": result.iterations,
-        "tau": _number(result.tau),
-        "kappa": _number(result.kappa),
-        "residualNorms": {k: _number(v) for k, v in result.residual_norms.items()},
-        "x": [_number(v) for v in result.x],
-        "y": [_number(v) for v in result.y],
-        "s": [_number(v) for v in result.s],
-        "history": [
-            {
-                "iteration": rec.iteration,
-                "mu": _number(rec.mu),
-                "primalNorm": _number(rec.primal_norm),
-                "dualNorm": _number(rec.dual_norm),
-                "gapAbs": _number(rec.gap_abs),
-                "step": _number(rec.step),
-                "correctorSteps": rec.corrector_steps,
-                "prox": _number(rec.prox),
-                "predTrials": rec.pred_trials,
-                "corrTrials": rec.corr_trials,
-            }
-            for rec in result.history
-        ],
-        "solveSeconds": result.solve_seconds,
-    }
+    return _value(result)
+
+
+def _value(v):
+    """v as JSON; a dataclass becomes {camelCase field name: value}, in order."""
+    if is_dataclass(v):
+        doc = {}
+        for f in fields(v):
+            head, *rest = f.name.split("_")
+            doc[head + "".join(map(str.capitalize, rest))] = _value(getattr(v, f.name))
+        return doc
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, dict):
+        return {k: _value(w) for k, w in v.items()}
+    if isinstance(v, (list, np.ndarray)):
+        return [_value(w) for w in v]
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    return v if isinstance(v, str) else _number(v)
 
 
 def _number(v):

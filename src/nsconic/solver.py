@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -149,15 +149,15 @@ class IterationRecord:
 class SolverResult:
     status: SolverStatus
     status_string: str
-    x: np.ndarray
-    y: np.ndarray
-    s: np.ndarray
-    tau: float
-    kappa: float
     p_obj: float
     d_obj: float
     iterations: int
+    tau: float
+    kappa: float
     residual_norms: dict
+    x: np.ndarray
+    y: np.ndarray
+    s: np.ndarray
     history: list = field(default_factory=list)
     solve_seconds: float = 0.0
 
@@ -310,24 +310,36 @@ def _build_result(status, detail, z, res, prob, nu, history, t0):
     return SolverResult(
         status=status,
         status_string=status_string,
-        x=x,
-        y=y,
-        s=s,
-        tau=z.tau,
-        kappa=z.kappa,
         p_obj=float(prob.c @ x),
         d_obj=float(prob.b @ y),
         iterations=len(history),
+        tau=z.tau,
+        kappa=z.kappa,
         residual_norms=norms,
+        x=x,
+        y=y,
+        s=s,
         history=history,
         solve_seconds=time.perf_counter() - t0,
     )
 
 
-_LOG_HEADER = (
-    f"{'iter':>4} {'mu':>10} {'|rP|':>10} {'|rD|':>10} {'|rG|':>10} "
-    f"{'step':>8} {'corr':>4} {'prox':>8} {'ptry':>4} {'ctry':>4}"
-)
+# the --verbose column of each IterationRecord field: (label, width, format)
+_LOG_FORMATS = {
+    "iteration": ("iter", 4, ""),
+    "mu": ("mu", 10, ".3e"),
+    "primal_norm": ("|rP|", 10, ".3e"),
+    "dual_norm": ("|rD|", 10, ".3e"),
+    "gap_abs": ("|rG|", 10, ".3e"),
+    "step": ("step", 8, ".2e"),
+    "corrector_steps": ("corr", 4, ""),
+    "prox": ("prox", 8, ".2e"),
+    "pred_trials": ("ptry", 4, ""),
+    "corr_trials": ("ctry", 4, ""),
+}
+# in field order; a record field without a column fails the import
+_LOG_COLUMNS = [(f.name, *_LOG_FORMATS[f.name]) for f in fields(IterationRecord)]
+_LOG_HEADER = " ".join(f"{label:>{width}}" for _, label, width, _ in _LOG_COLUMNS)
 
 
 def solve(
@@ -409,13 +421,8 @@ def solve(
             )
             history.append(rec)
             if opts.verbose:
-                print(
-                    f"{rec.iteration:>4} {rec.mu:>10.3e} {rec.primal_norm:>10.3e} "
-                    f"{rec.dual_norm:>10.3e} {rec.gap_abs:>10.3e} "
-                    f"{rec.step:>8.2e} {rec.corrector_steps:>4} {rec.prox:>8.2e} "
-                    f"{rec.pred_trials:>4} {rec.corr_trials:>4}",
-                    file=sys.stderr,
-                )
+                row = (f"{getattr(rec, k):>{w}{fmt}}" for k, _, w, fmt in _LOG_COLUMNS)
+                print(" ".join(row), file=sys.stderr)
     except (LineSearchError, SingularSystemError, OverflowError) as exc:
         status = SolverStatus.NUMERICAL_ERROR
         detail = str(exc)

@@ -17,6 +17,7 @@ from nsconic.fileio import (
     write_result,
 )
 from nsconic.linalg import SparseMatrix
+from nsconic.solver import IterationRecord, SolverResult
 
 
 def minimal_doc():
@@ -356,6 +357,19 @@ def test_result_document_carries_the_history(tmp_path):
         assert entry == expected
         assert type(entry["predTrials"]) is int and entry["predTrials"] >= 1
     json.dumps(doc, allow_nan=False)
+
+
+def test_result_document_keys_follow_the_dataclass_fields(tmp_path):
+    def camel(name):
+        head, *rest = name.split("_")
+        return head + "".join(w.capitalize() for w in rest)
+
+    doc = result_document(solved_result(tmp_path))
+    assert list(doc) == [camel(f.name) for f in dataclasses.fields(SolverResult)]
+    record_keys = [camel(f.name) for f in dataclasses.fields(IterationRecord)]
+    assert doc["history"]
+    for entry in doc["history"]:
+        assert list(entry) == record_keys
 
 
 def test_write_result_path_and_file_object(tmp_path):

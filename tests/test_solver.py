@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -309,6 +311,30 @@ def test_verbose_log_shape(capsys):
     assert out[-1].startswith("status: Optimal")
     # one line per iteration between header and status
     assert len(out) >= 4
+
+
+def test_verbose_row_of_a_known_record(monkeypatch, capsys):
+    record = nsconic.solver.IterationRecord(
+        iteration=12,
+        mu=1.25e-4,
+        primal_norm=3.0e-9,
+        dual_norm=0.5,
+        gap_abs=1234.0,
+        step=0.875,
+        corrector_steps=3,
+        prox=0.0625,
+        pred_trials=2,
+        corr_trials=17,
+    )
+    monkeypatch.setattr(nsconic.solver, "IterationRecord", lambda **_: record)
+    solve(lp_problem(), NonnegativeBarrier(2), options=SolverOptions(verbose=True))
+    header, *rows, status = capsys.readouterr().err.splitlines()
+    row = "  12  1.250e-04  3.000e-09  5.000e-01  1.234e+03 8.75e-01    3 6.25e-02    2   17"
+    assert rows and all(r == row for r in rows)
+    # one right-aligned label per record field, over its column
+    assert len(header.split()) == len(dataclasses.fields(record))
+    assert len(header) == len(row)
+    assert status.startswith("status: ")
 
 
 def test_free_variable_lp_through_product():
