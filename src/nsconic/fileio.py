@@ -14,8 +14,10 @@ Matrix indices are zero-based coordinate triplets. "x0" is optional; every
 other field is required, and unknown fields anywhere are rejected so typos
 fail loudly instead of being ignored. Sizes and indices ("m", "n", "rows",
 "cols", "dim") must be integers; an integral float such as 2.0 is read as
-one, and anything else is rejected rather than truncated. Floats round-trip
-exactly (Python's JSON writer emits shortest full-precision reprs).
+one, and anything else is rejected rather than truncated. Every array is a
+JSON list of numbers; a string, a boolean or a bare number in its place is
+rejected, not converted. Floats round-trip exactly (Python's JSON writer
+emits shortest full-precision reprs).
 """
 
 from __future__ import annotations
@@ -62,41 +64,42 @@ def _check_fields(obj, allowed, required, where) -> None:
         raise ProblemFileError(f"missing field(s) in {where}: {sorted(missing)}")
 
 
-def _real_array(obj, name) -> np.ndarray:
+def _numbers(obj, label, integral=False) -> np.ndarray:
+    """A JSON list of numbers as a flat array, int64 when ``integral``, else float64.
+
+    Items must be JSON numbers: a bare number, a nested list, a bool or a
+    string raises ProblemFileError with ``label`` in its message, as do a
+    non-finite value and, when ``integral``, a fraction (2.0 reads as 2).
+    """
+    if not isinstance(obj, list) or list in (types := set(map(type, obj))):
+        raise ProblemFileError(f"{label} must be a flat array of numbers")
     try:
-        arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ProblemFileError(f"field {name!r} is not a real array: {exc}") from None
-    if arr.ndim != 1:
-        raise ProblemFileError(f"field {name!r} must be a flat array")
-    if not np.isfinite(arr).all():
-        raise ProblemFileError(f"field {name!r} contains non-finite values")
-    return arr
-
-
-def _index_array(obj, name) -> np.ndarray:
-    """Integers (integral floats allowed) as int64; bools are not integers."""
-    items = obj if isinstance(obj, list) else [obj]
-    types = set(map(type, items))
-    if types <= {int}:  # the common case; fromiter converts faster than asarray
-        return np.fromiter(items, dtype=np.int64, count=len(items))
-    if types <= {int, float}:
-        arr = np.asarray(items, dtype=np.float64)
-        if np.isfinite(arr).all() and (arr == np.trunc(arr)).all():
-            return arr.astype(np.int64)
-    raise ProblemFileError(f"field {name!r} must hold integers")
+        if integral and types <= {int}:  # the common case; fromiter beats asarray
+            return np.fromiter(obj, np.int64, len(obj))
+        if types <= {int, float}:
+            arr = np.fromiter(obj, np.float64, len(obj))
+            if not np.isfinite(arr).all():
+                raise ProblemFileError(f"{label} contains non-finite values")
+            if not integral:
+                return arr
+            if (arr == np.trunc(arr)).all():
+                return arr.astype(np.int64)
+    except OverflowError:
+        pass
+    if integral:
+        raise ProblemFileError(f"{label} must hold integers")
+    others = ", ".join(sorted(t.__name__ for t in types - {int, float}))
+    detail = f"items of type {others}" if others else "a value overflows a float"
+    raise ProblemFileError(f"{label} is not a real array: {detail}")
 
 
 def _parse_matrix(block, m, n) -> SparseMatrix:
+    rows = _numbers(block["rows"], "field 'rows'", integral=True)
+    cols = _numbers(block["cols"], "field 'cols'", integral=True)
+    vals = _numbers(block["vals"], "field 'vals'")
     try:
-        return SparseMatrix(
-            m,
-            n,
-            _index_array(block["rows"], "rows"),
-            _index_array(block["cols"], "cols"),
-            np.asarray(block["vals"], dtype=np.float64),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
+        return SparseMatrix(m, n, rows, cols, vals)
+    except ValueError as exc:
         raise ProblemFileError(f"bad matrix block: {exc}") from None
 
 
@@ -106,14 +109,11 @@ def _parse_cones(entries) -> list[ConeSpec]:
     specs = []
     for i, entry in enumerate(entries):
         _check_fields(entry, _CONE_FIELDS, {"type"}, f"cone {i}")
+        lam = entry.get("lambda")
+        if lam is not None:
+            lam = _numbers(lam, f"cone {i}: power-cone weights field 'lambda'")
         try:
-            specs.append(
-                ConeSpec(
-                    type=entry["type"],
-                    dim=entry.get("dim"),
-                    lam=entry.get("lambda"),
-                )
-            )
+            specs.append(ConeSpec(type=entry["type"], dim=entry.get("dim"), lam=lam))
         except ConeSpecError as exc:
             raise ProblemFileError(f"cone {i}: {exc}") from None
     return specs
@@ -139,8 +139,8 @@ def _parse_problem(data):
     _check_fields(data["A"], _A_FIELDS, _A_FIELDS, '"A"')
     m = as_int(data["A"]["m"], "field 'm'", ProblemFileError)
     n = as_int(data["A"]["n"], "field 'n'", ProblemFileError)
-    c = _real_array(data["c"], "c")
-    b = _real_array(data["b"], "b")
+    c = _numbers(data["c"], "field 'c'")
+    b = _numbers(data["b"], "field 'b'")
     # sizes are checked against the vectors before the matrix allocates for them
     if c.shape != (n,):
         raise ProblemFileError(f"c has {c.size} entries, A has {n} columns")
@@ -153,7 +153,7 @@ def _parse_problem(data):
         raise ProblemFileError(f"cone dims sum to {total}, expected n = {n}")
     x0 = None
     if data.get("x0") is not None:
-        x0 = _real_array(data["x0"], "x0")
+        x0 = _numbers(data["x0"], "field 'x0'")
         if x0.shape != (n,):
             raise ProblemFileError(f"x0 has {x0.size} entries, expected {n}")
     return c, A, b, cones, x0
@@ -168,19 +168,19 @@ def save_problem(path, c, A, b, cones, x0=None):
     A = SparseMatrix.coerce(A)
     coo = A.csc.tocoo()
     doc = {
-        "c": list(np.asarray(c, dtype=np.float64)),
-        "b": list(np.asarray(b, dtype=np.float64)),
+        "c": np.asarray(c, dtype=np.float64).tolist(),
+        "b": np.asarray(b, dtype=np.float64).tolist(),
         "A": {
             "m": A.shape[0],
             "n": A.shape[1],
-            "rows": [int(i) for i in coo.row],
-            "cols": [int(j) for j in coo.col],
-            "vals": list(coo.data),
+            "rows": coo.row.tolist(),
+            "cols": coo.col.tolist(),
+            "vals": coo.data.tolist(),
         },
         "cones": [_cone_entry(spec) for spec in cones],
     }
     if x0 is not None:
-        doc["x0"] = list(np.asarray(x0, dtype=np.float64))
+        doc["x0"] = np.asarray(x0, dtype=np.float64).tolist()
     _parse_problem(doc)
     _write_json(doc, path)
 

@@ -8,9 +8,9 @@ whose iterate z = (y, x, tau, s, kappa) lives in R^m x K x R+ x K* x R+.
 The embedding operator is never materialized; all products are formed from
 A directly. Newton systems are reduced to one positive-definite system of
 order m plus a scalar bordering for the tau column. The barrier Hessian is
-used only through the oracle's Hessian object (multiply, solve, half-solve
-with its factor L, and the normal matrix A H^{-1} A'); a diagonal one forms
-that from a sparse L^{-1} A', so n x n work happens only for dense cones.
+used only through the oracle's Hessian object: multiply, solve, half-solve
+with its factor L, and the dense normal matrix A H^{-1} A', which a diagonal
+one forms from a sparse L^{-1} A', so n x n work happens only for dense cones.
 """
 
 from __future__ import annotations
@@ -171,13 +171,13 @@ def newton_solve(
 
     ds and dkappa are eliminated through the equality rows, dx through the
     scaled Hessian, leaving an m x m positive-definite system plus a scalar
-    bordering for dtau. The normal matrix is N = W'W / mu, with W = L^{-1} A'
-    and a new dense W'W both from the oracle Hessian's ``normal`` (the factor
-    of mu H is sqrt(mu) L, so no refactorization happens here); W enters only
-    the bordering term W v. One round of iterative refinement against the
-    full system, with H = LL' as every solve uses it, cleans up the
-    direction. A Cholesky breakdown of the reduced matrix is retried once
-    with a small trace-scaled diagonal shift before giving up.
+    bordering for dtau. N = A H^{-1} A' / mu comes from the oracle Hessian's
+    ``normal`` and the bordering term L^{-1} A'v from its ``half_solve`` (the
+    factor of mu H is sqrt(mu) L, so no refactorization happens here). One
+    round of iterative refinement against the full system, with H = LL' as
+    every solve uses it, cleans up the direction. A Cholesky breakdown of the
+    reduced matrix is retried once with a small trace-scaled diagonal shift
+    before giving up.
     """
     A, b, c = prob.A, prob.b, prob.c
     m = prob.m
@@ -192,7 +192,7 @@ def newton_solve(
     half_c = H.half_solve(c) / np.sqrt(mu)  # B^{-1/2} c
     Au = A.matvec(u)
     w_vec = b - Au
-    W, N = H.normal(A)
+    N = H.normal(A)
     N /= mu  # in place: a second m x m array slowed sparse LP solves by about 8%
     LN = try_chol(N)
     if LN is None:
@@ -213,7 +213,7 @@ def newton_solve(
     # a sum of squares; evaluating it in that form avoids the massive
     # cancellation the naive w'v2 + c'u + gamma suffers at small mu
     half_b = solve_lower(LN, b)
-    resid_c = half_c - (W @ ninv(Au)) / np.sqrt(mu)
+    resid_c = half_c - H.half_solve(A.matvec(ninv(Au), transpose=True)) / np.sqrt(mu)
     den = float(half_b @ half_b + resid_c @ resid_c + gamma)
     if not np.isfinite(den) or den <= 0.0:
         raise SingularSystemError("tau bordering lost positive definiteness")

@@ -184,8 +184,8 @@ def solve_lower_t(fac, rhs) -> np.ndarray:
 class DiagonalHessian:
     """H = diag(l**2) with factor L = diag(l), for separable barriers.
 
-    Solves and products are elementwise and ``normal`` keeps W = L^{-1} A'
-    sparse; only ``L`` and ``toarray`` form an n x n array.
+    Solves and products are elementwise and ``normal`` forms A H^{-1} A'
+    through a sparse L^{-1} A'; only ``L`` and ``toarray`` form an n x n array.
     """
 
     def __init__(self, l):
@@ -206,14 +206,14 @@ class DiagonalHessian:
     def L(self) -> np.ndarray:
         return np.diag(self.l)
 
-    def normal(self, A: SparseMatrix) -> tuple[sps.csr_matrix, np.ndarray]:
-        """W = L^{-1} A', sparse n x m, and W'W = A H^{-1} A' as a new dense array.
+    def normal(self, A: SparseMatrix) -> np.ndarray:
+        """A H^{-1} A' as a new dense array, from W = L^{-1} A' kept sparse.
         The CSC arrays of A are the CSR arrays of A', so only values are scaled."""
         csc = A.csc
         d = 1.0 / as_vector(self.l, A.shape[1], "scaling")
         data = csc.data * np.repeat(d, np.diff(csc.indptr))
         W = sps.csr_matrix((data, csc.indices, csc.indptr), shape=csc.shape[::-1])
-        return W, (W.T @ W).toarray()
+        return (W.T @ W).toarray()
 
     def toarray(self) -> np.ndarray:
         return np.diag(self.l * self.l)
@@ -236,10 +236,10 @@ class DenseHessian:
         """H^{-1} v = L'^{-1} L^{-1} v."""
         return solve_lower_t(self.L, solve_lower(self.L, v))
 
-    def normal(self, A: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
-        """W = L^{-1} A', dense n x m, and W'W = A H^{-1} A' as a new dense array."""
+    def normal(self, A: SparseMatrix) -> np.ndarray:
+        """A H^{-1} A' as a new dense array, from W = L^{-1} A' formed dense."""
         W = solve_lower(self.L, A.toarray().T)
-        return W, W.T @ W
+        return W.T @ W
 
     def toarray(self) -> np.ndarray:
         return self.L @ self.L.T

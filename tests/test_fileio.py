@@ -198,9 +198,11 @@ def test_vector_length_mismatches_rejected(tmp_path, field, value):
 
 def test_non_finite_entries_rejected(tmp_path):
     doc = minimal_doc()
-    doc["c"] = [1.0, "nan"]
-    with pytest.raises(ProblemFileError, match="non-finite"):
-        load_problem(write_doc(tmp_path, doc))
+    # Python's json writes and reads NaN and Infinity as numbers
+    for bad in (float("nan"), float("inf")):
+        doc["c"] = [1.0, bad]
+        with pytest.raises(ProblemFileError, match="field 'c' contains non-finite"):
+            load_problem(write_doc(tmp_path, doc))
 
 
 @pytest.mark.parametrize(
@@ -215,6 +217,29 @@ def test_non_finite_entries_rejected(tmp_path):
 def test_malformed_vectors_rejected(tmp_path, value, message):
     doc = minimal_doc()
     doc["c"] = value
+    with pytest.raises(ProblemFileError, match=re.escape(message)):
+        load_problem(write_doc(tmp_path, doc))
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (lambda d: d.update(c=["1", "2"]), "'c' is not a real array: items of type str"),
+        (lambda d: d.update(c=[True, False]), "'c' is not a real array: items of type bool"),
+        (lambda d: d["A"].update(vals=["1.0", "1.0"]), "field 'vals' is not a real array"),
+        (lambda d: d["A"].update(vals=[True, True]), "field 'vals' is not a real array"),
+        (lambda d: d.update(x0=["0.5", "0.5"]), "field 'x0' is not a real array"),
+        (
+            lambda d: d["A"].update(rows=0, cols=1, vals=3.0),
+            "field 'rows' must be a flat array of numbers",
+        ),
+    ],
+    ids=["c-str", "c-bool", "vals-str", "vals-bool", "x0-str", "scalar-triplet"],
+)
+def test_non_numbers_rejected(tmp_path, mutate, message):
+    # each of these used to load, converted by numpy or wrapped into a list
+    doc = minimal_doc()
+    mutate(doc)
     with pytest.raises(ProblemFileError, match=re.escape(message)):
         load_problem(write_doc(tmp_path, doc))
 
@@ -235,10 +260,10 @@ def test_bad_cone_entries_rejected(tmp_path):
 def test_nan_power_weights_rejected(tmp_path):
     doc = minimal_doc()
     doc["c"], doc["A"]["n"] = [1.0, 2.0, 0.0], 3
-    # Python's json writes and reads NaN, so only the weight check can reject
-    # it; weights that are not numbers at all (an object, a string, an integer
-    # too large for a float) get the same message
-    for lam in ([float("nan"), 1.0], {"a": 1}, "ab", [10**400, 1]):
+    # NaN, and weights that are not a list of numbers (an object, a string, an
+    # integer too large for a float, numbers written as strings), all name
+    # the cone's power-cone weights
+    for lam in ([float("nan"), 1.0], {"a": 1}, "ab", [10**400, 1], ["0.25", "0.75"]):
         doc["cones"] = [{"type": "gpow", "lambda": lam}]
         with pytest.raises(ProblemFileError, match="cone 0: power-cone weights"):
             load_problem(write_doc(tmp_path, doc))

@@ -75,10 +75,6 @@ def test_lp_status_and_answer_match_highs(seed, m, extra, kind):
         assert np.linalg.norm(A @ result.x) <= TOL * -cx
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="corrector step stalls at optim_tol 1e-8 (FOUND line in CHANGES.md)",
-)
 def test_tight_tolerance_reaches_the_highs_optimum():
     A = np.array(
         [
