@@ -69,7 +69,8 @@ def _numbers(obj, label, integral=False) -> np.ndarray:
 
     Items must be JSON numbers: a bare number, a nested list, a bool or a
     string raises ProblemFileError with ``label`` in its message, as do a
-    non-finite value and, when ``integral``, a fraction (2.0 reads as 2).
+    non-finite value and, when ``integral``, a fraction (2.0 reads as 2) or
+    an integer outside the int64 range.
     """
     if not isinstance(obj, list) or list in (types := set(map(type, obj))):
         raise ProblemFileError(f"{label} must be a flat array of numbers")
@@ -83,9 +84,12 @@ def _numbers(obj, label, integral=False) -> np.ndarray:
             if not integral:
                 return arr
             if (arr == np.trunc(arr)).all():
+                if np.abs(arr).max() >= 2.0**63:  # the cast would not be exact
+                    raise OverflowError
                 return arr.astype(np.int64)
     except OverflowError:
-        pass
+        if integral:
+            raise ProblemFileError(f"{label} holds an integer outside int64") from None
     if integral:
         raise ProblemFileError(f"{label} must hold integers")
     others = ", ".join(sorted(t.__name__ for t in types - {int, float}))

@@ -6,10 +6,10 @@ the iterate back into a tight neighborhood of the central path. Both make
 the same move, written once in ``_step``: solve the Newton system for a
 right-hand side, cap the step at the tau/kappa boundary, then try the
 steps that ``_trials`` generates until the trial point is interior and its
-proximity passes the caller's test. The corrector's search starts at the
-cap and halves. The predictor's starts at the step a fitted proximity
-model predicts, backtracks by a finer factor and falls back to the
-corrector's search (see the step-rule constants below). The accepted
+proximity passes the caller's test. Each search is one geometric sequence
+down to 2^-59 of the cap. The corrector's starts at the cap and halves; the
+predictor's at the step a fitted proximity model predicts, backtracking by
+a finer factor (see the step-rule constants below). The accepted
 point's oracle result and proximity are carried forward, and each
 iterate's residuals are computed once and shared by the status test, the
 predictor, the history record and the result. When the corrector fails,
@@ -88,24 +88,23 @@ class LineSearchError(RuntimeError):
 
 # Step-rule constants, read by ``_trials`` and ``_predictor_start``. ETA is
 # the central-path proximity kept after correction and PRED_BETA the wider
-# ball the predictor may roam. A corrector search starts at the boundary
-# cap and halves the step (LS_FACTOR), for up to LS_MAX_STEPS trials. A
-# predictor search that steps a from proximity p0 to p fits K = max(p - p0,
-# 0)(1 - a) / a^2 in p(a) = p0 + K a^2 / (1 - a); the next one starts where
-# that model, from the new p0, reaches THETA * PRED_BETA, at most at twice
-# the last step (the first at the cap), and backtracks by WARM_FACTOR; the
-# new p0 is at most ETA, below that target. When the start is below
-# COLD_START, the last step was below WARM_FACTOR * COLD_START, or the warm
-# trials all fail, it searches as the corrector does, so its smallest step
-# stays LS_FACTOR**(LS_MAX_STEPS - 1) of the cap.
+# ball the predictor may roam. Every search tries one geometric sequence of
+# steps and stops at the last one of at least MIN_STEP times the boundary
+# cap. A corrector search starts at the cap and halves the step
+# (LS_FACTOR). A predictor search that steps a from proximity p0 to p fits
+# K = max(p - p0, 0)(1 - a) / a^2 in p(a) = p0 + K a^2 / (1 - a); the next
+# one starts where that model, from the new p0, reaches THETA * PRED_BETA,
+# at most at twice the last step (the first at the cap), and backtracks by
+# WARM_FACTOR; the new p0 is at most ETA, below that target. A start below
+# COLD_START searches as the corrector does.
 ETA = 0.07
 THETA = 0.8
 PRED_BETA = 0.5
 MAX_CORR_STEPS = 8
 LS_FACTOR = 0.5
-LS_MAX_STEPS = 60
 WARM_FACTOR = 0.8
 COLD_START = 1e-3
+MIN_STEP = 2.0**-59
 
 
 @dataclass
@@ -199,16 +198,13 @@ def _boundary_cap(z: Iterate, d: Direction) -> float:
 
 
 def _trials(cap, start):
-    """A line search's trial steps, each the one before times a factor.
-
-    When start >= COLD_START, LS_MAX_STEPS steps from min(cap, start) by
-    WARM_FACTOR; then, always, LS_MAX_STEPS steps from cap by LS_FACTOR.
-    """
-    warm = [(min(cap, start), WARM_FACTOR)] if start >= COLD_START else []
-    for alpha, factor in warm + [(cap, LS_FACTOR)]:
-        for _ in range(LS_MAX_STEPS):
-            yield alpha
-            alpha *= factor
+    """A line search's trial steps down to MIN_STEP * cap: from min(cap, start)
+    by WARM_FACTOR when start >= COLD_START, else from cap by LS_FACTOR."""
+    warm = start >= COLD_START
+    alpha, factor = (min(cap, start), WARM_FACTOR) if warm else (cap, LS_FACTOR)
+    while alpha >= MIN_STEP * cap:
+        yield alpha
+        alpha *= factor
 
 
 def _step(prob, oracle, z, ev, rhs, accept, failure, start, trials):
@@ -237,8 +233,6 @@ def _predictor_start(last, fit, p0):
     """The root a of p0 + fit a^2 / (1 - a) = THETA * PRED_BETA, at most 2 last."""
     if last == np.inf:
         return last
-    if last < WARM_FACTOR * COLD_START:
-        return 0.0
     c = THETA * PRED_BETA - p0  # p0 <= ETA: the corrector re-centered it
     return min(2.0 * last, 2.0 * c / (c + np.sqrt(c * c + 4.0 * fit * c)))
 

@@ -324,6 +324,19 @@ def test_non_integral_sizes_and_indices_rejected(tmp_path, mutate, message):
         load_problem(write_doc(tmp_path, doc))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "big", [1e300, 2**70, -1e300, 10**400], ids=["1e300", "2^70", "-1e300", "10^400"]
+)
+def test_indices_outside_int64_rejected(tmp_path, big):
+    # an integral float and an int past int64 get the same named error, and
+    # the float is never cast (numpy's cast would warn and wrap)
+    doc = minimal_doc()
+    doc["A"]["rows"] = [0, big]
+    with pytest.raises(ProblemFileError, match="field 'rows' holds an integer outside"):
+        load_problem(write_doc(tmp_path, doc))
+
+
 def test_integral_floats_accepted_as_sizes_and_indices(tmp_path):
     doc = minimal_doc()
     doc["A"].update(m=1.0, n=2.0, rows=[0.0, 0], cols=[0, 1.0])

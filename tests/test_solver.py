@@ -269,18 +269,18 @@ def test_first_step_failures_are_numerical_errors(
 
 
 def test_failed_predictor_search_ends_at_the_halving_floor(monkeypatch):
-    # the warm trials, then the halving ones down to 2^-59 of the cap
+    # one sequence from the cap by WARM_FACTOR, down to the floor 60 halvings
+    # reach: its last trial is the last step of at least 2^-59 of the cap
     monkeypatch.setattr(nsconic.solver, "PRED_BETA", -1.0)
     alphas, caps = _record_line_searches(monkeypatch)
     res = solve(lp_problem(), NonnegativeBarrier(2))
     assert res.status is SolverStatus.NUMERICAL_ERROR
-    n = nsconic.solver.LS_MAX_STEPS
+    f, floor = nsconic.solver.WARM_FACTOR, nsconic.solver.MIN_STEP
     (cap,) = caps
-    assert len(alphas) == 2 * n
-    assert alphas[0] == alphas[n] == cap
-    np.testing.assert_allclose(_ratios(alphas[:n]), nsconic.solver.WARM_FACTOR)
-    assert alphas[n:] == [cap * 0.5**k for k in range(n)]
-    assert min(alphas) == cap * 2.0**-59
+    assert floor == 2.0**-59
+    assert len(alphas) == 184 and alphas[0] == cap
+    np.testing.assert_allclose(_ratios(alphas), f)
+    assert alphas[-1] >= floor * cap > alphas[-1] * f
 
 
 def test_deterministic_reruns():
@@ -443,8 +443,9 @@ def test_a_stalled_corrector_counts_its_trials(monkeypatch):
     assert "corrector step stalled" in res.status_string
     (rec,) = res.history
     assert rec.corrector_steps == 0
-    n = nsconic.solver.LS_MAX_STEPS
-    assert rec.corr_trials == 1 + n
+    # halving from the cap to MIN_STEP of it: 60 trials
+    n = 1 + round(-np.log2(nsconic.solver.MIN_STEP))
+    assert n == 60 and rec.corr_trials == 1 + n
     assert len(evals) == 1 + rec.pred_trials + rec.corr_trials
     # one predictor and two corrector searches; the stalled one is the cold
     # search, from its cap halving down to 2^-59 of it
@@ -587,7 +588,6 @@ def test_predictor_starts_near_its_last_step(monkeypatch, case):
         start = _fitted_start(last, fit, p0) if last < np.inf else cap
         # no search here is cold
         assert start >= nsconic.solver.COLD_START
-        assert last >= nsconic.solver.WARM_FACTOR * nsconic.solver.COLD_START
         np.testing.assert_allclose(trials[0], min(cap, start), rtol=1e-14)
         assert trials[-1] == rec.step == alpha and p <= nsconic.solver.PRED_BETA
         f = nsconic.solver.WARM_FACTOR
@@ -616,8 +616,6 @@ def test_predictor_start_without_a_fit():
     roots = [start(1.0, k, 0.05) for k in (1e-4, 1e-8, 1e-12)]
     assert roots == sorted(roots) and 1.0 - roots[-1] < 1e-11
     assert start(0.3, 0.0, 0.05) == 0.6
-    # a last step below WARM_FACTOR * COLD_START: cold
-    assert start(0.7e-3, 0.0, 0.0) == 0.0
     # the first search starts at the cap
     assert start(np.inf, 0.0, 0.0) == np.inf
     assert start(np.inf, 0.0, 1.0) == np.inf
@@ -632,10 +630,9 @@ def test_predictor_takes_few_trials_on_an_edesign():
     assert np.mean(trials) < 1.5
 
 
-def test_predictor_starts_cold_after_a_tiny_step(monkeypatch):
-    # reject the first 34 trials of the first predictor and the first trial
-    # of the second, as if they were exterior points
-    rejects = {1: 34, 2: 1}
+def _reject_predictor_trials(monkeypatch, rejects):
+    """Answer the first rejects[k] trials of the k-th predictor search (from 1)
+    as exterior points."""
     state = {"pred": 0, "trial": 0, "active": False}
     real_predictor, real_eval = nsconic.solver._predictor, Barrier.eval
 
@@ -655,14 +652,35 @@ def test_predictor_starts_cold_after_a_tiny_step(monkeypatch):
 
     monkeypatch.setattr(nsconic.solver, "_predictor", predictor)
     monkeypatch.setattr(Barrier, "eval", eval_)
+
+
+def test_predictor_starts_cold_after_a_tiny_step(monkeypatch):
+    # reject the first 35 trials of the first predictor and the first trial
+    # of the second
+    _reject_predictor_trials(monkeypatch, {1: 35, 2: 1})
     alphas, caps = _record_line_searches(monkeypatch)
     prob, oracle, x0 = _lp_case()
     res = solve(prob, oracle, x0)
     assert res.status is SolverStatus.OPTIMAL
     searches = _predictor_searches(res, alphas, caps)
-    (cap1, first), (cap2, second) = searches[:2]
-    assert len(first) == 35 and first[-1] == res.history[0].step
-    assert first[-1] / cap1 < nsconic.solver.COLD_START
-    # the last step is below WARM_FACTOR * COLD_START: start at the cap and halve
+    (_, first), (cap2, second) = searches[:2]
+    assert len(first) == 36 and first[-1] == res.history[0].step
+    # the next start is at most twice the last step, below COLD_START: the
+    # search starts at the cap and halves
+    assert first[-1] < nsconic.solver.COLD_START / 2
     assert second[0] == cap2 and len(second) >= 2
     assert _ratios(second) == [nsconic.solver.LS_FACTOR] * (len(second) - 1)
+
+
+def test_a_long_predictor_search_never_restarts_at_the_cap(monkeypatch):
+    # reject the first 70 trials of the first predictor search: trials 61-71
+    # carry on down by WARM_FACTOR from the 60th
+    _reject_predictor_trials(monkeypatch, {1: 70})
+    alphas, caps = _record_line_searches(monkeypatch)
+    prob, oracle, x0 = _lp_case()
+    res = solve(prob, oracle, x0)
+    assert res.status is SolverStatus.OPTIMAL
+    cap, first = _predictor_searches(res, alphas, caps)[0]
+    assert len(first) == 71 and first[0] == cap and first[-1] == res.history[0].step
+    assert cap not in first[1:]
+    np.testing.assert_allclose(_ratios(first[59:]), nsconic.solver.WARM_FACTOR)

@@ -5,12 +5,12 @@
 For each seed from FIRST to LAST (inclusive) it builds the ``cone_blocks``
 instances of ``bench/workloads.py``, solves each through ``solve_cones`` at
 the instance's tolerance, or at TOL when given, and checks the answer with
-``bench/check.py``'s ``Checker`` at that same tolerance. It prints one line
-per instance (seed:instance, status, iterations, seconds and the check's
-verdict), then the pass count, and exits 1 when any instance fails its
-check. ``bench/`` is imported read only and left without bytecode, and
-BLAS is pinned to one thread, as in ``bench/run.py``. Seeds 0-40 take a few
-minutes, so this is not part of the test suite.
+``bench/check.py``'s ``Checker`` at that same tolerance, a new one for each
+seed. It prints one line per instance (seed:instance, status, iterations,
+seconds and the check's verdict), then the pass count, and exits 1 when any
+instance fails its check. ``bench/`` is imported read only and left
+without bytecode, and BLAS is pinned to one thread, as in ``bench/run.py``.
+Seeds 0-40 take a few minutes, so this is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -46,9 +46,10 @@ def main(argv=None) -> int:
         return 2
     first, last = int(args[0]), int(args[1])
     tol = float(args[2]) if len(args) == 3 else None
-    checker = Checker()
     passed = total = 0
     for seed in range(first, last + 1):
+        # Checker caches references by instance name, and names repeat across seeds
+        checker = Checker()
         for i, inst in enumerate(cone_blocks(seed)):
             if tol is not None:
                 inst = dataclasses.replace(inst, optim_tol=tol)
