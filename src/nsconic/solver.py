@@ -93,8 +93,8 @@ class LineSearchError(RuntimeError):
 # cap. A corrector search starts at the cap and halves the step
 # (LS_FACTOR). A predictor search that steps a from proximity p0 to p fits
 # K = max(p - p0, 0)(1 - a) / a^2 in p(a) = p0 + K a^2 / (1 - a); the next
-# one starts where that model, from the new p0, reaches THETA * PRED_BETA,
-# at most at twice the last step (the first at the cap), and backtracks by
+# one starts where that model, from the new p0, reaches THETA * PRED_BETA
+# (1 for the first, whose K is 0), never above the cap, and backtracks by
 # WARM_FACTOR; the new p0 is at most ETA, below that target. A start below
 # COLD_START searches as the corrector does.
 ETA = 0.07
@@ -229,12 +229,10 @@ def _step(prob, oracle, z, ev, rhs, accept, failure, start, trials):
     raise LineSearchError(failure, trials)
 
 
-def _predictor_start(last, fit, p0):
-    """The root a of p0 + fit a^2 / (1 - a) = THETA * PRED_BETA, at most 2 last."""
-    if last == np.inf:
-        return last
+def _predictor_start(fit, p0):
+    """The root a of p0 + fit a^2 / (1 - a) = THETA * PRED_BETA; 1 when fit = 0."""
     c = THETA * PRED_BETA - p0  # p0 <= ETA: the corrector re-centered it
-    return min(2.0 * last, 2.0 * c / (c + np.sqrt(c * c + 4.0 * fit * c)))
+    return 2.0 * c / (c + np.sqrt(c * c + 4.0 * fit * c))
 
 
 def _predictor(prob, oracle, z, ev, res, start):
@@ -373,7 +371,7 @@ def solve(
     status = SolverStatus.ITERATION_LIMIT
     detail = ""
     stalled = None
-    last_step, fit, prox = np.inf, 0.0, 0.0  # the start point is central
+    fit, prox = 0.0, 0.0  # the start point is central
     try:
         if not np.isfinite(res.norm()):
             raise OverflowError(
@@ -388,9 +386,9 @@ def solve(
                 raise stalled
             if it == opts.max_iter:
                 break
-            p0, start = prox, _predictor_start(last_step, fit, prox)
+            p0, start = prox, _predictor_start(fit, prox)
             zt, ev, alpha, prox, ptrials = _predictor(prob, oracle, z, ev, res, start)
-            last_step, fit = alpha, max(prox - p0, 0.0) * (1.0 - alpha) / alpha**2
+            fit = max(prox - p0, 0.0) * (1.0 - alpha) / alpha**2
             try:
                 zt, ev, prox, ncorr, ctrials = _corrector(prob, oracle, zt, ev, prox)
             except LineSearchError as exc:

@@ -251,8 +251,8 @@ def test_numerical_error_status_on_impossible_centering(monkeypatch):
 @pytest.mark.parametrize(
     "module, name, value, detail",
     [
-        # no trial point lies within a negative proximity bound
-        (nsconic.solver, "PRED_BETA", -1.0, "predictor line search found no"),
+        # no trial point lies within the proximity bound
+        (nsconic.solver, "proximity", lambda *a: np.inf, "predictor line search"),
         # the normal matrix fails to factor, shifted or not
         (nsconic.hsd, "try_chol", lambda mat: None, "normal-equations matrix"),
     ],
@@ -271,7 +271,7 @@ def test_first_step_failures_are_numerical_errors(
 def test_failed_predictor_search_ends_at_the_halving_floor(monkeypatch):
     # one sequence from the cap by WARM_FACTOR, down to the floor 60 halvings
     # reach: its last trial is the last step of at least 2^-59 of the cap
-    monkeypatch.setattr(nsconic.solver, "PRED_BETA", -1.0)
+    monkeypatch.setattr(nsconic.solver, "proximity", lambda *a: np.inf)
     alphas, caps = _record_line_searches(monkeypatch)
     res = solve(lp_problem(), NonnegativeBarrier(2))
     assert res.status is SolverStatus.NUMERICAL_ERROR
@@ -557,11 +557,11 @@ def _edesign_case():
     return build_edesign(random_design_matrix(4, 8, seed=1))
 
 
-def _fitted_start(last, fit, p0):
-    """The positive root a of fit a^2 + c a - c = 0, c = THETA * PRED_BETA - p0,
-    at most 2 last: where p0 + fit a^2 / (1 - a) reaches THETA * PRED_BETA."""
+def _fitted_start(fit, p0):
+    """The positive root a of fit a^2 + c a - c = 0, c = THETA * PRED_BETA - p0:
+    where p0 + fit a^2 / (1 - a) reaches THETA * PRED_BETA."""
     c = nsconic.solver.THETA * nsconic.solver.PRED_BETA - p0
-    return min(2.0 * last, 2.0 * c / (c + np.sqrt(c * c + 4.0 * fit * c)))
+    return 2.0 * c / (c + np.sqrt(c * c + 4.0 * fit * c))
 
 
 @pytest.mark.parametrize("case", [_lp_case, _edesign_case], ids=["random_lp", "edesign"])
@@ -581,44 +581,41 @@ def test_predictor_starts_near_its_last_step(monkeypatch, case):
     assert res.status is SolverStatus.OPTIMAL
     searches = _predictor_searches(res, alphas, caps)
     assert len(accepted) == len(searches) == len(res.history)
-    last, fit, p0, fitted, warm = np.inf, 0.0, 0.0, 0, 0
+    fit, p0, warm = 0.0, 0.0, 0
     for (cap, trials), rec, (alpha, p) in zip(searches, res.history, accepted):
-        # the first search starts at the cap, every later one at the root of
-        # the proximity model fitted to the search before, at most 2 last
-        start = _fitted_start(last, fit, p0) if last < np.inf else cap
+        # every search starts at the root of the proximity model fitted to
+        # the search before, never above the cap; the first has no fit, so
+        # its root is 1 and it starts at the cap
+        start = _fitted_start(fit, p0)
         # no search here is cold
         assert start >= nsconic.solver.COLD_START
         np.testing.assert_allclose(trials[0], min(cap, start), rtol=1e-14)
         assert trials[-1] == rec.step == alpha and p <= nsconic.solver.PRED_BETA
         f = nsconic.solver.WARM_FACTOR
         np.testing.assert_allclose(_ratios(trials), f, rtol=1e-12)
-        fitted += start < min(cap, 2.0 * last)
         warm += trials[0] < cap
         fit = max(p - p0, 0.0) * (1.0 - alpha) / alpha**2
-        last, p0 = alpha, rec.prox
-    assert fitted > 0 and warm > 0
+        p0 = rec.prox
+    assert warm > 0
 
 
 @pytest.mark.parametrize("p0", [0.0, 0.03, 0.07])
 @pytest.mark.parametrize("fit", [1e-3, 0.3, 2.5, 9.0, 1e4])
 def test_predictor_start_is_the_root_of_the_proximity_model(p0, fit):
     target = nsconic.solver.THETA * nsconic.solver.PRED_BETA
-    a = nsconic.solver._predictor_start(1.0, fit, p0)
+    a = nsconic.solver._predictor_start(fit, p0)
     assert 0.0 < a < 1.0
     assert abs(p0 + fit * a * a / (1.0 - a) - target) <= 1e-12
-    # at most twice the last step
-    assert nsconic.solver._predictor_start(a / 4.0, fit, p0) == a / 2.0
 
 
 def test_predictor_start_without_a_fit():
     start = nsconic.solver._predictor_start
-    # K -> 0: the root rises to 1, so with no fit the start is twice the last step
-    roots = [start(1.0, k, 0.05) for k in (1e-4, 1e-8, 1e-12)]
+    # K -> 0: the root rises to 1
+    roots = [start(k, 0.05) for k in (1e-4, 1e-8, 1e-12)]
     assert roots == sorted(roots) and 1.0 - roots[-1] < 1e-11
-    assert start(0.3, 0.0, 0.05) == 0.6
-    # the first search starts at the cap
-    assert start(np.inf, 0.0, 0.0) == np.inf
-    assert start(np.inf, 0.0, 1.0) == np.inf
+    # the first search, from the central start, has no fit: its root is
+    # exactly 1, so it starts at the cap, which is at most 1
+    assert start(0.0, 0.0) == 1.0
 
 
 def test_predictor_takes_few_trials_on_an_edesign():
@@ -654,22 +651,58 @@ def _reject_predictor_trials(monkeypatch, rejects):
     monkeypatch.setattr(Barrier, "eval", eval_)
 
 
-def test_predictor_starts_cold_after_a_tiny_step(monkeypatch):
-    # reject the first 35 trials of the first predictor and the first trial
-    # of the second
-    _reject_predictor_trials(monkeypatch, {1: 35, 2: 1})
+def test_predictor_starts_cold_below_cold_start(monkeypatch):
+    # the second predictor search gets a start below COLD_START, and its
+    # first trial is rejected
+    _reject_predictor_trials(monkeypatch, {2: 1})
+    starts, real_start = [], nsconic.solver._predictor_start
+
+    def predictor_start(fit, p0):
+        starts.append(real_start(fit, p0))
+        return nsconic.solver.COLD_START / 2 if len(starts) == 2 else starts[-1]
+
+    monkeypatch.setattr(nsconic.solver, "_predictor_start", predictor_start)
     alphas, caps = _record_line_searches(monkeypatch)
     prob, oracle, x0 = _lp_case()
     res = solve(prob, oracle, x0)
     assert res.status is SolverStatus.OPTIMAL
     searches = _predictor_searches(res, alphas, caps)
     (_, first), (cap2, second) = searches[:2]
-    assert len(first) == 36 and first[-1] == res.history[0].step
-    # the next start is at most twice the last step, below COLD_START: the
-    # search starts at the cap and halves
-    assert first[-1] < nsconic.solver.COLD_START / 2
+    # the real start of the second search is warm
+    assert starts[1] >= nsconic.solver.COLD_START
+    # a start below COLD_START: the search starts at the cap and halves
     assert second[0] == cap2 and len(second) >= 2
     assert _ratios(second) == [nsconic.solver.LS_FACTOR] * (len(second) - 1)
+
+
+def test_predictor_starts_at_the_fitted_root_after_a_tiny_step(monkeypatch):
+    # reject the first 35 trials of the first predictor search: it accepts a
+    # step far below COLD_START, yet the fit from that step puts the second
+    # search's start well above it
+    _reject_predictor_trials(monkeypatch, {1: 35})
+    accepted = []  # (step, proximity) each predictor search accepted
+    rejecting_predictor = nsconic.solver._predictor
+
+    def predictor(*args):
+        out = rejecting_predictor(*args)
+        accepted.append(out[2:4])
+        return out
+
+    monkeypatch.setattr(nsconic.solver, "_predictor", predictor)
+    alphas, caps = _record_line_searches(monkeypatch)
+    prob, oracle, x0 = _lp_case()
+    res = solve(prob, oracle, x0)
+    assert res.status is SolverStatus.OPTIMAL
+    searches = _predictor_searches(res, alphas, caps)
+    (cap1, first), (cap2, second) = searches[:2]
+    alpha, p = accepted[0]
+    assert len(first) == 36 and first[0] == cap1 and first[-1] == alpha
+    assert alpha < nsconic.solver.COLD_START / 2
+    # the first search stepped from the central start (proximity 0)
+    start = _fitted_start(p * (1.0 - alpha) / alpha**2, res.history[0].prox)
+    assert 0.37 < start < 0.38
+    np.testing.assert_allclose(second[0], min(cap2, start), rtol=1e-14)
+    np.testing.assert_allclose(_ratios(second), nsconic.solver.WARM_FACTOR)
 
 
 def test_a_long_predictor_search_never_restarts_at_the_cap(monkeypatch):

@@ -7,9 +7,10 @@ instances of ``bench/workloads.py``, solves each through ``solve_cones`` at
 the instance's tolerance, or at TOL when given, and checks the answer with
 ``bench/check.py``'s ``Checker`` at that same tolerance, a new one for each
 seed. It prints one line per instance (seed:instance, status, iterations,
-seconds and the check's verdict), then the pass count, and exits 1 when any
-instance fails its check. ``bench/`` is imported read only and left
-without bytecode, and BLAS is pinned to one thread, as in ``bench/run.py``.
+seconds and the check's verdict), then the pass count and the total
+iteration count, and exits 1 when any instance fails its check. ``bench/``
+is imported read only and left without bytecode, and BLAS is pinned to one
+thread, as in ``bench/run.py``.
 Seeds 0-40 take a few minutes, so this is not part of the test suite.
 """
 
@@ -46,7 +47,7 @@ def main(argv=None) -> int:
         return 2
     first, last = int(args[0]), int(args[1])
     tol = float(args[2]) if len(args) == 3 else None
-    passed = total = 0
+    passed = total = iters = 0
     for seed in range(first, last + 1):
         # Checker caches references by instance name, and names repeat across seeds
         checker = Checker()
@@ -67,7 +68,8 @@ def main(argv=None) -> int:
             )
             total += 1
             passed += not errs
-    print(f"passed {passed}/{total}")
+            iters += res.iterations
+    print(f"passed {passed}/{total} in {iters} iterations")
     return 0 if passed == total else 1
 
 
