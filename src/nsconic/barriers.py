@@ -103,8 +103,13 @@ class Barrier:
         raise NotImplementedError
 
     def _finish(self, value, gradient, hessian) -> BarrierEval:
-        """Assemble an interior result from the dense Hessian's Cholesky factor."""
-        chol = try_chol(hessian)
+        """Assemble an interior result from the dense Hessian's Cholesky factor.
+
+        The caller gives ``hessian`` up: potrf reads its lower triangle, and
+        a Fortran-ordered one is factored in place (``try_chol`` with
+        ``overwrite``) and becomes the result's L.
+        """
+        chol = try_chol(hessian, overwrite=True)
         if chol is None:
             return EXTERIOR
         return BarrierEval(True, value, gradient, DenseHessian(chol))

@@ -37,18 +37,24 @@ class EDesignBarrier(Barrier):
     part p). There is no canonical interior point: it depends on V, so
     build_edesign supplies one.
 
-    One evaluation runs a few dense BLAS-3/LAPACK kernels, for V of size
-    n x p: M = (V sqrt(x))(V sqrt(x))' as a syrk (n^2 p flops), its Cholesky
-    factor L by potrf (n^3/3), and, if the point is exterior, nothing more.
-    An interior point adds L^{-1} by trtri (n^3/3), W = L^{-1} V and
-    M^{-1} V = L^{-T} W as two trmms on the triangular inverse (n^2 p each),
-    S = W'W as a syrk written straight into the Hessian's x block (n p^2),
-    and the lower triangle of M^{-1} = L^{-T} L^{-1} by lauum (n^3/3), read
-    only for the t-t entry |M^{-1}|_F^2; ``Barrier._finish`` then factors
-    the (1+p) x (1+p) Hessian ((1+p)^3/3), which is built in Fortran order
-    so that potrf copies it without a transpose. At n = 200, p = 400 that
-    is about 110 MFlop per interior evaluation. V is kept once, in
-    Fortran order, the layout in which trmm overwrites its operand in place.
+    One evaluation allocates one n x (1+p) work array in Fortran order, for
+    V of size n x p, and runs a few dense BLAS-3/LAPACK kernels on it. Its
+    column 0 stays zero; columns 1..p take V diag(sqrt(x)). M, the syrk of
+    those columns (n^2 p flops), gets an array of its own, in which potrf
+    factors it into L (n^3/3), trtri inverts L (n^3/3) and lauum forms the
+    lower triangle of M^{-1} = L^{-T} L^{-1} (n^3/3). An exterior point
+    stops after potrf. Otherwise a trmm writes W = L^{-1} V over the columns
+    (n^2 p), and one syrk of the whole work array (n p^2) returns the lower
+    triangle of the (1+p) x (1+p) Hessian: S = W'W in its x block, with a
+    zero t row and column. It is squared in place, and its diagonal and t
+    column are filled in; the t column comes from M^{-1} V = L^{-T} W, a
+    second trmm over the same columns (n^2 p), and the t-t entry is
+    |M^{-1}|_F^2. ``Barrier._finish`` factors the Hessian in place
+    ((1+p)^3/3), so the returned L is the same array. At n = 200, p = 400
+    that is about 110 MFlop per interior evaluation, and the traced memory
+    peak of one evaluation is about 1.9 times the Hessian's 8 (1+p)^2
+    bytes. V is kept once, in Fortran order, the layout in which trmm
+    overwrites its operand in place.
     ``contains`` is the base class's ``eval(x).in_interior``.
     """
 
@@ -69,12 +75,16 @@ class EDesignBarrier(Barrier):
         x = v[1:]
         if x.min() <= 0.0:
             return EXTERIOR
-        # one n x p buffer, Fortran-ordered like V, holds V diag(sqrt(x)), then
-        # W = L^{-1} V, then U = M^{-1} V, each overwritten in place by trmm
-        B = V * np.sqrt(x)
-        M = B @ B.T
+        # the one work array: column 0 stays zero, so the syrk of the whole
+        # array is the Hessian's shape with a zero t row and column; columns
+        # 1..p hold V diag(sqrt(x)), then W = L^{-1} V, then U = M^{-1} V
+        work = np.empty((n, 1 + p), order="F")
+        work[:, 0] = 0.0
+        B = work[:, 1:]
+        np.multiply(V, np.sqrt(x), out=B)
+        M = blas.dsyrk(1.0, B, lower=1)
         M[np.diag_indices(n)] -= t
-        LM = try_chol(M)
+        LM = try_chol(M, overwrite=True)
         if LM is None:
             return EXTERIOR
         value = -2.0 * np.log(np.diag(LM)).sum() - np.log(x).sum()
@@ -82,28 +92,24 @@ class EDesignBarrier(Barrier):
         Li, _ = lapack.dtrtri(LM, lower=1, overwrite_c=1)
         B[...] = V
         W = blas.dtrmm(1.0, Li, B, lower=1, overwrite_b=1)
+        # the lower triangle of work' work; its x block is S = W'W,
+        # S[i, j] = v_i' M^{-1} v_j, and its diagonal holds |W e_j|^2
+        hessian = blas.dsyrk(1.0, work, trans=1, lower=1)
         gradient = np.empty(1 + p)
-        gradient[0] = np.einsum("ij,ij->", Li, Li)  # trace of M^{-1}
-        gradient[1:] = -np.einsum("ij,ij->j", W, W) - 1.0 / x
-        hessian = np.empty((1 + p, 1 + p), order="F")
-        hessian[:, 0] = 0.0
-        hessian[0, 1:] = 0.0
-        hxx = hessian[1:, 1:]
-        # S = W'W, S[i, j] = v_i' M^{-1} v_j, goes straight into the x block;
-        # numpy runs W.T @ W as a syrk, so S and the Hessian are exactly symmetric
-        np.matmul(W.T, W, out=hxx)
-        # squaring the whole contiguous buffer beats squaring the strided x
-        # block; potrf reads the zeroed t column, filled in below, not the t row
+        gradient[1:] = -np.diagonal(hessian)[1:] - 1.0 / x
+        # squaring the whole contiguous array beats squaring its strided lower
+        # triangle; potrf reads neither the zero upper triangle nor row 0
         np.multiply(hessian, hessian, out=hessian)
+        hxx = hessian[1:, 1:]
         hxx[np.diag_indices(p)] += 1.0 / (x * x)
         U = blas.dtrmm(1.0, Li, W, lower=1, trans_a=1, overwrite_b=1)
-        htx = -np.einsum("ij,ij->j", U, U)
-        hessian[1:, 0] = htx
+        hessian[1:, 0] = -np.einsum("ij,ij->j", U, U)
         # lauum overwrites Li's lower triangle with the lower triangle of
         # M^{-1} = Li' Li; the strict upper one stays zero, so |M^{-1}|_F^2
         # counts the strict lower part twice
         Minv, _ = lapack.dlauum(Li, lower=1, overwrite_c=1)
         d = np.diagonal(Minv)
+        gradient[0] = d.sum()  # trace of M^{-1}
         hessian[0, 0] = 2.0 * np.einsum("ij,ij->", Minv, Minv) - d @ d
         return self._finish(value, gradient, hessian)
 

@@ -127,20 +127,24 @@ def _as_square(mat) -> np.ndarray:
     return a
 
 
-def try_chol(mat) -> np.ndarray | None:
+def try_chol(mat, overwrite: bool = False) -> np.ndarray | None:
     """Lower Cholesky factor L with L @ L.T == mat, or None when mat is not
     numerically positive definite or has any non-finite entry.
 
     The factorization is LAPACK ``potrf`` on the lower triangle, so the strict
-    upper triangle of ``mat`` only enters the finiteness check. ``mat`` is
-    never modified, the strict upper triangle of L is exactly zero, and a
-    0 x 0 ``mat`` gives a 0 x 0 L. A non-square ``mat`` raises
-    DimensionMismatch.
+    upper triangle of ``mat`` only enters the finiteness check. The strict
+    upper triangle of L is exactly zero, and a 0 x 0 ``mat`` gives a 0 x 0 L.
+    A non-square ``mat`` raises DimensionMismatch.
+
+    By default ``mat`` is never modified. With ``overwrite`` the caller gives
+    ``mat`` up: a Fortran-ordered float64 ``mat`` is factored in place and
+    returned as L, and after a failed factorization its contents are
+    undefined. Any other ``mat`` is copied as without ``overwrite``.
     """
     a = _as_square(mat)
     if not np.isfinite(a).all():
         return None
-    L, info = lapack.dpotrf(a, lower=1, clean=1)
+    L, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=int(overwrite))
     return L if info == 0 else None
 
 

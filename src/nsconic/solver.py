@@ -2,9 +2,9 @@
 
 One iteration is a predictor step (aim at the solution, long line search
 inside a wide proximity ball) followed by damped corrector steps that pull
-the iterate back into a tight neighborhood of the central path. Both make
-the same move, written once in ``_step``: solve the Newton system for a
-right-hand side, cap the step at the tau/kappa boundary, then try the
+the iterate back into a tight neighborhood of the central path. Both solve
+the Newton system for a right-hand side, then make the same move, written
+once in ``_step``: cap the step at the tau/kappa boundary, then try the
 steps that ``_trials`` generates until the trial point is interior and its
 proximity passes the caller's test. Each search is one geometric sequence
 down to 2^-59 of the cap. The corrector's starts at the cap and halves; the
@@ -207,20 +207,21 @@ def _trials(cap, start):
         alpha *= factor
 
 
-def _step(prob, oracle, z, ev, rhs, accept, failure, start, trials):
-    """Newton direction for rhs, then the steps of ``_trials(cap, start)``.
+def _step(oracle, z, d, accept, failure, start, trials):
+    """The steps of ``_trials(cap, start)`` from z along the Newton direction d.
 
     Returns the first trial point that is interior with a positive gap and
     whose proximity passes ``accept``, as (point, oracle result, step,
     proximity, trials), where ``trials`` is the count passed in plus this
     search's oracle calls. When every trial fails, raises LineSearchError
-    with the message ``failure`` and that count.
+    with the message ``failure`` and that count. It needs no oracle result
+    of z, so a caller may drop z's before the search.
     """
     nu = oracle.nu
-    d = newton_solve(prob, z, gap(z, nu), ev, rhs)
     for alpha in _trials(_boundary_cap(z, d), start):
         trials += 1
         zt = z.step(d, alpha)
+        evt = None  # free a rejected trial's factor before the next one is built
         evt = oracle.eval(zt.x)
         if evt.in_interior and gap(zt, nu) > 0.0:
             prox = proximity(zt, evt, nu)
@@ -238,14 +239,18 @@ def _predictor_start(fit, p0):
 def _predictor(prob, oracle, z, ev, res, start):
     """Aim at the embedding solution, backtrack into the PRED_BETA ball."""
     rhs = NewtonRhs(-res.primal, -res.dual, -res.gap, -z.s, -z.kappa)
+    d = newton_solve(prob, z, gap(z, oracle.nu), ev, rhs)
     failure = "predictor line search found no acceptable step"
-    return _step(prob, oracle, z, ev, rhs, lambda p: p <= PRED_BETA, failure, start, 0)
+    return _step(oracle, z, d, lambda p: p <= PRED_BETA, failure, start, 0)
 
 
 def _corrector(prob, oracle, z, ev, prox):
     """Damped centering steps until the iterate is back within ETA.
 
-    Each step's search is the cold one (start 0.0 < COLD_START)."""
+    Each step's search is the cold one (start 0.0 < COLD_START). Each step
+    drops its point's oracle result once the direction is formed, so while a
+    search evaluates a trial, the only other oracle result alive is the
+    predictor point's, which the caller holds."""
     trials = 0
     for k in range(MAX_CORR_STEPS + 1):
         if prox <= ETA:
@@ -255,9 +260,11 @@ def _corrector(prob, oracle, z, ev, prox):
         mu = gap(z, oracle.nu)
         psi_x, psi_k = centrality_residual(z, mu, ev.gradient)
         rhs = NewtonRhs(np.zeros(prob.m), np.zeros(prob.n), 0.0, -psi_x, -psi_k)
+        d = newton_solve(prob, z, mu, ev, rhs)
+        ev = None
         failure = "corrector step stalled"
         z, ev, _, prox, trials = _step(
-            prob, oracle, z, ev, rhs, lambda p: p < prox, failure, 0.0, trials
+            oracle, z, d, lambda p: p < prox, failure, 0.0, trials
         )
 
 

@@ -551,7 +551,7 @@ def test_pullback_reuses_the_inner_factor(monkeypatch, inner):
     calls = []
     real = nsconic.barriers.try_chol
     monkeypatch.setattr(
-        nsconic.barriers, "try_chol", lambda a: calls.append(a) or real(a)
+        nsconic.barriers, "try_chol", lambda a, **kw: calls.append(a) or real(a, **kw)
     )
     ev = pb.eval(x)
     expected = 1 if isinstance(inner, SecondOrderBarrier) else 0

@@ -92,6 +92,17 @@ def test_chol_contract_on_random_spd():
         assert np.all(np.triu(L, 1) == 0.0)
 
 
+def test_chol_overwrite_factors_a_fortran_array_in_place():
+    rng = np.random.default_rng(3)
+    for n in (1, 3, 17, 64):
+        B = rng.standard_normal((n, n))
+        F = np.asfortranarray(B @ B.T + np.eye(n))
+        expected = try_chol(F.copy())
+        L = try_chol(F, overwrite=True)
+        np.testing.assert_array_equal(L, expected)
+        assert np.shares_memory(L, F)
+
+
 def test_solve_lower_hand_case():
     L = np.array([[2.0, 0.0], [1.0, np.sqrt(2.0)]])
     w = solve_lower(L, np.array([2.0, 4.0]))
