@@ -176,8 +176,8 @@ def newton_solve(
     factor of mu H is sqrt(mu) L, so no refactorization happens here). One
     round of iterative refinement against the full system, with H = LL' as
     every solve uses it, cleans up the direction. A Cholesky breakdown of the
-    reduced matrix is retried once with a small trace-scaled diagonal shift
-    before giving up.
+    reduced matrix is retried once with a trace-scaled shift added to N's
+    diagonal in place (``try_chol`` copied N, so it is intact) before giving up.
     """
     A, b, c = prob.A, prob.b, prob.c
     m = prob.m
@@ -197,12 +197,10 @@ def newton_solve(
     LN = try_chol(N)
     if LN is None:
         t = float(np.trace(N)) / m
-        shift = 1e-12 * (t if t > 0.0 else 1.0)
-        LN = try_chol(N + shift * np.eye(m))
-        if LN is None:
-            raise SingularSystemError(
-                "reduced normal-equations matrix is not positive definite"
-            )
+        N[np.diag_indices(m)] += 1e-12 * (t if t > 0.0 else 1.0)
+        LN = try_chol(N)
+    if LN is None:
+        raise SingularSystemError("reduced normal-equations matrix is not positive definite")
 
     def ninv(v):
         # N^{-1} v from its factor

@@ -136,10 +136,11 @@ def try_chol(mat, overwrite: bool = False) -> np.ndarray | None:
     upper triangle of L is exactly zero, and a 0 x 0 ``mat`` gives a 0 x 0 L.
     A non-square ``mat`` raises DimensionMismatch.
 
-    By default ``mat`` is never modified. With ``overwrite`` the caller gives
-    ``mat`` up: a Fortran-ordered float64 ``mat`` is factored in place and
-    returned as L, and after a failed factorization its contents are
-    undefined. Any other ``mat`` is copied as without ``overwrite``.
+    By default ``mat`` is never modified: ``hsd.newton_solve``'s shifted retry
+    needs N intact (ROADMAP item 1 says why that default stays). With
+    ``overwrite`` the caller gives ``mat`` up: a Fortran-ordered float64
+    ``mat`` is factored in place and returned as L, and after a failed
+    factorization its contents are undefined. Any other ``mat`` is copied.
     """
     a = _as_square(mat)
     if not np.isfinite(a).all():

@@ -1,6 +1,12 @@
 """Shared helpers for the test suite: interior samplers, random instances,
-a dense reference solver for the embedding Newton system and a brute-force
-E-design objective over a simplex grid."""
+a dense reference solver for the embedding Newton system, a brute-force
+E-design objective over a simplex grid, a call counter, a ``tracemalloc``
+peak, a small LP problem document, ``write_doc`` (a problem document written
+to a JSON file) and ``without_timing`` (CLI output without its
+``solveSeconds`` lines)."""
+
+import json
+import tracemalloc
 
 import numpy as np
 
@@ -79,7 +85,11 @@ def random_problem(oracle, m, rng):
 
 
 def dense_newton_reference(prob, z, mu, ev, rhs: NewtonRhs):
-    """Assemble and solve the full embedding Newton system densely."""
+    """Assemble and solve the full embedding Newton system densely.
+
+    The solution is returned as one vector laid out as ``direction_as_vector``
+    lays out a Direction: dy, dx, dtau, ds, dkappa.
+    """
     m, n = prob.m, prob.n
     A = prob.A.toarray()
     H = ev.hessian.toarray()
@@ -110,8 +120,7 @@ def dense_newton_reference(prob, z, mu, ev, rhs: NewtonRhs):
     K[ik, it] = mu / z.tau**2
     K[ik, ik] = 1.0
     rhs_vec = np.concatenate([rhs.r1, rhs.r2, [rhs.r3], rhs.r4, [rhs.r5]])
-    sol = np.linalg.solve(K, rhs_vec)
-    return sol[iy], sol[ix], float(sol[it]), sol[is_], float(sol[ik])
+    return np.linalg.solve(K, rhs_vec)
 
 
 def direction_as_vector(d):
@@ -146,3 +155,48 @@ def grid_objective(V, resolution: int) -> float:
     outers = np.einsum("ik,jk->kij", V, V)  # stack of v_k v_k'
     M = np.tensordot(X, outers, axes=(1, 0))
     return float(np.linalg.eigvalsh(M)[:, 0].max())
+
+
+def count_calls(monkeypatch, module, name, seen):
+    """Patch ``module.name`` to append each call's positional args to seen."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees while fn runs, tracing fn alone."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def lp_doc():
+    # min x1 + 2 x2 s.t. x1 + x2 = 2, x >= 0; optimum (2, 0), value 2
+    return {
+        "c": [1.0, 2.0],
+        "b": [2.0],
+        "A": {"m": 1, "n": 2, "rows": [0, 0], "cols": [0, 1], "vals": [1.0, 1.0]},
+        "cones": [{"type": "lp", "dim": 2}],
+    }
+
+
+def write_doc(tmp_path, doc, name="prob.json") -> str:
+    """Write ``doc`` as JSON to ``tmp_path / name`` and return the path."""
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def without_timing(text):
+    """``text`` without its ``solveSeconds`` lines, the only run-dependent ones."""
+    return "\n".join(
+        line for line in text.splitlines() if "solveSeconds" not in line
+    )

@@ -19,77 +19,37 @@ from nsconic.cones import ConeSpec, block_oracle
 from nsconic.edesign import EDesignBarrier
 from nsconic.linalg import DenseHessian, DiagonalHessian, DimensionMismatch
 
-from _util import sample_block
-
-# interior samplers keep points comfortably away from the boundary so that
-# finite-difference probes stay interior
-
-
-def sample_nonneg(dim, rng):
-    return rng.uniform(0.5, 3.0, dim)
-
-
-def sample_soc(dim, rng):
-    x = rng.standard_normal(dim)
-    x[0] = np.linalg.norm(x[1:]) + rng.uniform(0.5, 2.0)
-    return x
-
-
-def sample_exp(_dim, rng):
-    x1 = rng.uniform(0.5, 2.0)
-    x2 = rng.uniform(0.5, 2.0)
-    x3 = x2 * np.log(x1 / x2) - rng.uniform(0.3, 1.5)
-    return np.array([x1, x2, x3])
-
-
-def sample_gpow(weights, rng):
-    x = rng.uniform(0.5, 2.0, len(weights))
-    power = np.prod(x ** np.asarray(weights))
-    z = rng.uniform(-0.7, 0.7) * power
-    return np.concatenate([x, [z]])
+from _util import count_calls, sample_block
 
 
 def oracle_cases():
     """(name, oracle, sampler) triples covering every built-in barrier."""
-    rng_free = block_oracle(ConeSpec("free", 3))
-    cases = [
-        ("nonneg5", NonnegativeBarrier(5), lambda r: sample_nonneg(5, r)),
-        ("soc2", SecondOrderBarrier(2), lambda r: sample_soc(2, r)),
-        ("soc6", SecondOrderBarrier(6), lambda r: sample_soc(6, r)),
-        ("exp", ExponentialBarrier(), lambda r: sample_exp(3, r)),
-        (
-            "gpow_half",
-            PowerBarrier([0.5, 0.5]),
-            lambda r: sample_gpow([0.5, 0.5], r),
-        ),
-        (
-            "gpow_quarters",
-            PowerBarrier([0.25, 0.75]),
-            lambda r: sample_gpow([0.25, 0.75], r),
-        ),
-        (
-            "gpow3",
-            PowerBarrier([0.2, 0.3, 0.5]),
-            lambda r: sample_gpow([0.2, 0.3, 0.5], r),
-        ),
-        ("free3", rng_free, lambda r: sample_soc(4, r)),
+    blocks = [
+        ("nonneg5", NonnegativeBarrier(5)),
+        ("soc2", SecondOrderBarrier(2)),
+        ("soc6", SecondOrderBarrier(6)),
+        ("exp", ExponentialBarrier()),
+        ("gpow_half", PowerBarrier([0.5, 0.5])),
+        ("gpow_quarters", PowerBarrier([0.25, 0.75])),
+        ("gpow3", PowerBarrier([0.2, 0.3, 0.5])),
+        ("free3", block_oracle(ConeSpec("free", 3))),
         (
             "product",
             ProductBarrier(
                 [NonnegativeBarrier(3), SecondOrderBarrier(3), ExponentialBarrier()]
             ),
-            lambda r: np.concatenate(
-                [sample_nonneg(3, r), sample_soc(3, r), sample_exp(3, r)]
-            ),
         ),
     ]
+    # the samplers keep points comfortably away from the boundary so that
+    # finite-difference probes stay interior
+    cases = [(name, f, lambda r, f=f: sample_block(f, r)) for name, f in blocks]
     M = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.0, 1.5]])
     inner = NonnegativeBarrier(3)
     cases.append(
         (
             "pullback",
             PullbackBarrier(inner, M),
-            lambda r: np.linalg.solve(M, sample_nonneg(3, r)),
+            lambda r: np.linalg.solve(M, sample_block(inner, r)),
         )
     )
     return cases
@@ -215,7 +175,7 @@ def test_gpow_fd_check_on_random_weights():
         w[-1] = 1.0 - w[:-1].sum()
         oracle = PowerBarrier(w)
         for _ in range(5):
-            x = sample_gpow(w, rng)
+            x = sample_block(oracle, rng)
             report = fd_check(oracle, x)
             assert report.ok(), (n, report)
             assert report.grad_identity <= 1e-10
@@ -374,8 +334,8 @@ def test_finite_difference_agreement(name, oracle, sampler):
 @pytest.mark.parametrize(
     "oracle,sampler",
     [
-        (NonnegativeBarrier(4), lambda r: sample_nonneg(4, r)),
-        (SecondOrderBarrier(5), lambda r: sample_soc(5, r)),
+        (NonnegativeBarrier(4), lambda r: sample_block(NonnegativeBarrier(4), r)),
+        (SecondOrderBarrier(5), lambda r: sample_block(SecondOrderBarrier(5), r)),
     ],
 )
 def test_gradient_maps_into_dual_cone(oracle, sampler):
@@ -549,10 +509,7 @@ def test_pullback_reuses_the_inner_factor(monkeypatch, inner):
     pb = PullbackBarrier(inner, M)
     x = np.array([1.0, 0.5])
     calls = []
-    real = nsconic.barriers.try_chol
-    monkeypatch.setattr(
-        nsconic.barriers, "try_chol", lambda a, **kw: calls.append(a) or real(a, **kw)
-    )
+    count_calls(monkeypatch, nsconic.barriers, "try_chol", calls)
     ev = pb.eval(x)
     expected = 1 if isinstance(inner, SecondOrderBarrier) else 0
     assert len(calls) == expected

@@ -14,15 +14,7 @@ from nsconic.cones import CONE_TYPES
 from nsconic.fileio import load_problem
 from nsconic.solver import SolverOptions
 
-
-def lp_doc():
-    # min x1 + 2 x2 s.t. x1 + x2 = 2, x >= 0; optimum (2, 0), value 2
-    return {
-        "c": [1.0, 2.0],
-        "b": [2.0],
-        "A": {"m": 1, "n": 2, "rows": [0, 0], "cols": [0, 1], "vals": [1.0, 1.0]},
-        "cones": [{"type": "lp", "dim": 2}],
-    }
+from _util import lp_doc, without_timing, write_doc
 
 
 def infeasible_doc():
@@ -33,18 +25,6 @@ def infeasible_doc():
         "A": {"m": 1, "n": 2, "rows": [0], "cols": [0], "vals": [1.0]},
         "cones": [{"type": "lp", "dim": 2}],
     }
-
-
-def write_doc(tmp_path, doc, name="prob.json"):
-    path = tmp_path / name
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
-def without_timing(text):
-    return "\n".join(
-        line for line in text.splitlines() if "solveSeconds" not in line
-    )
 
 
 def test_solve_writes_result_to_stdout(tmp_path, capsys):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ from nsconic.barriers import fd_check
 from nsconic.edesign import EDesignBarrier, build_edesign, random_design_matrix
 from nsconic.solver import SolverOptions, SolverStatus, solve
 
-from _util import grid_objective
+from _util import grid_objective, traced_peak
 
 
 def sample_design_point(V, rng):
@@ -237,23 +235,13 @@ def test_barrier_matches_inverse_formulas(n, p):
             np.testing.assert_array_equal(H, H.T)
 
 
-def _traced_peak(fn):
-    """Peak bytes that tracemalloc sees while fn runs, tracing fn alone."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_one_evaluation_peaks_below_two_hessians():
     # the work array, M and the Hessian, factored in place into the returned
     # L, stay below two (1+p) x (1+p) arrays (three before the work array)
     prob, barrier, x0 = build_edesign(random_design_matrix(100, seed=0))
     barrier.eval(x0)  # first-call set-up stays out of the count
     hessian_bytes = 8.0 * barrier.dim**2
-    assert _traced_peak(lambda: barrier.eval(x0)) <= 2.0 * hessian_bytes
+    assert traced_peak(lambda: barrier.eval(x0)) <= 2.0 * hessian_bytes
 
 
 def test_a_solve_peaks_below_three_and_a_half_hessians():
@@ -264,6 +252,6 @@ def test_a_solve_peaks_below_three_and_a_half_hessians():
     hessian_bytes = 8.0 * barrier.dim**2
     results = []
     opts = SolverOptions(optim_tol=1e-8)
-    peak = _traced_peak(lambda: results.append(solve(prob, barrier, x0, opts)))
+    peak = traced_peak(lambda: results.append(solve(prob, barrier, x0, opts)))
     assert results[0].status is SolverStatus.OPTIMAL
     assert peak <= 3.5 * hessian_bytes

@@ -19,20 +19,7 @@ from nsconic.fileio import (
 from nsconic.linalg import SparseMatrix
 from nsconic.solver import IterationRecord, SolverResult
 
-
-def minimal_doc():
-    return {
-        "c": [1.0, 2.0],
-        "b": [2.0],
-        "A": {"m": 1, "n": 2, "rows": [0, 0], "cols": [0, 1], "vals": [1.0, 1.0]},
-        "cones": [{"type": "lp", "dim": 2}],
-    }
-
-
-def write_doc(tmp_path, doc, name="prob.json"):
-    path = tmp_path / name
-    path.write_text(json.dumps(doc))
-    return path
+from _util import lp_doc, write_doc
 
 
 def test_round_trip_is_value_identical(tmp_path):
@@ -63,7 +50,7 @@ def test_round_trip_is_value_identical(tmp_path):
 
 
 def test_round_trip_without_x0(tmp_path):
-    doc = minimal_doc()
+    doc = lp_doc()
     path = write_doc(tmp_path, doc)
     c, A, b, cones, x0 = load_problem(path)
     assert x0 is None
@@ -74,7 +61,7 @@ def test_round_trip_without_x0(tmp_path):
 
 
 def test_null_x0_treated_as_absent(tmp_path):
-    doc = minimal_doc()
+    doc = lp_doc()
     doc["x0"] = None
     _, _, _, _, x0 = load_problem(write_doc(tmp_path, doc))
     assert x0 is None
@@ -119,7 +106,7 @@ def field_error(message):
     ids=["top", "matrix", "cone"],
 )
 def test_unknown_fields_rejected(tmp_path, mutate, message):
-    doc = minimal_doc()
+    doc = lp_doc()
     mutate(doc)
     message = "unknown field(s) " + message
     with pytest.raises(ProblemFileError, match=field_error(message)):
@@ -128,7 +115,7 @@ def test_unknown_fields_rejected(tmp_path, mutate, message):
 
 @pytest.mark.parametrize("field", ["c", "b", "A", "cones"])
 def test_missing_required_fields_rejected(tmp_path, field):
-    doc = minimal_doc()
+    doc = lp_doc()
     del doc[field]
     message = f"missing field(s) in top level: [{field!r}]"
     with pytest.raises(ProblemFileError, match=field_error(message)):
@@ -136,7 +123,7 @@ def test_missing_required_fields_rejected(tmp_path, field):
 
 
 def test_missing_matrix_field_rejected(tmp_path):
-    doc = minimal_doc()
+    doc = lp_doc()
     del doc["A"]["vals"]
     message = "missing field(s) in \"A\": ['vals']"
     with pytest.raises(ProblemFileError, match=field_error(message)):
@@ -144,7 +131,7 @@ def test_missing_matrix_field_rejected(tmp_path):
 
 
 def test_cone_without_type_rejected(tmp_path):
-    doc = minimal_doc()
+    doc = lp_doc()
     del doc["cones"][0]["type"]
     message = "missing field(s) in cone 0: ['type']"
     with pytest.raises(ProblemFileError, match=field_error(message)):
@@ -171,7 +158,7 @@ def test_sizes_checked_before_the_matrix_is_built(
         raise AssertionError("SparseMatrix built before the size checks")
 
     monkeypatch.setattr(nsconic.fileio, "SparseMatrix", recorder)
-    doc = minimal_doc()
+    doc = lp_doc()
     doc["A"][field] = 10**12
     with pytest.raises(ProblemFileError, match=message):
         load_problem(write_doc(tmp_path, doc))
@@ -179,7 +166,7 @@ def test_sizes_checked_before_the_matrix_is_built(
 
 
 def test_cone_dim_sum_must_match_columns(tmp_path):
-    doc = minimal_doc()
+    doc = lp_doc()
     doc["cones"] = [{"type": "lp", "dim": 3}]
     with pytest.raises(ProblemFileError, match="cone dims sum"):
         load_problem(write_doc(tmp_path, doc))
@@ -190,14 +177,14 @@ def test_cone_dim_sum_must_match_columns(tmp_path):
     [("c", [1.0]), ("b", [1.0, 2.0]), ("x0", [1.0, 2.0, 3.0])],
 )
 def test_vector_length_mismatches_rejected(tmp_path, field, value):
-    doc = minimal_doc()
+    doc = lp_doc()
     doc[field] = value
     with pytest.raises(ProblemFileError):
         load_problem(write_doc(tmp_path, doc))
 
 
 def test_non_finite_entries_rejected(tmp_path):
-    doc = minimal_doc()
+    doc = lp_doc()
     # Python's json writes and reads NaN and Infinity as numbers
     for bad in (float("nan"), float("inf")):
         doc["c"] = [1.0, bad]
@@ -215,7 +202,7 @@ def test_non_finite_entries_rejected(tmp_path):
     ids=["not-real", "not-flat", "too-large"],
 )
 def test_malformed_vectors_rejected(tmp_path, value, message):
-    doc = minimal_doc()
+    doc = lp_doc()
     doc["c"] = value
     with pytest.raises(ProblemFileError, match=re.escape(message)):
         load_problem(write_doc(tmp_path, doc))
@@ -238,14 +225,14 @@ def test_malformed_vectors_rejected(tmp_path, value, message):
 )
 def test_non_numbers_rejected(tmp_path, mutate, message):
     # each of these used to load, converted by numpy or wrapped into a list
-    doc = minimal_doc()
+    doc = lp_doc()
     mutate(doc)
     with pytest.raises(ProblemFileError, match=re.escape(message)):
         load_problem(write_doc(tmp_path, doc))
 
 
 def test_bad_cone_entries_rejected(tmp_path):
-    doc = minimal_doc()
+    doc = lp_doc()
     doc["cones"] = [{"type": "orthant", "dim": 2}]
     with pytest.raises(ProblemFileError, match="cone 0"):
         load_problem(write_doc(tmp_path, doc))
@@ -258,7 +245,7 @@ def test_bad_cone_entries_rejected(tmp_path):
 
 
 def test_nan_power_weights_rejected(tmp_path):
-    doc = minimal_doc()
+    doc = lp_doc()
     doc["c"], doc["A"]["n"] = [1.0, 2.0, 0.0], 3
     # NaN, and weights that are not a list of numbers (an object, a string, an
     # integer too large for a float, numbers written as strings), all name
@@ -297,7 +284,7 @@ def test_save_rejects_a_bad_cone_mapping(tmp_path):
 
 
 def test_bad_matrix_indices_rejected(tmp_path):
-    doc = minimal_doc()
+    doc = lp_doc()
     doc["A"]["cols"] = [0, 5]
     with pytest.raises(ProblemFileError, match="bad matrix block"):
         load_problem(write_doc(tmp_path, doc))
@@ -318,7 +305,7 @@ def test_bad_matrix_indices_rejected(tmp_path):
 )
 def test_non_integral_sizes_and_indices_rejected(tmp_path, mutate, message):
     # each of these used to load, cut down to an integer by int() or astype
-    doc = minimal_doc()
+    doc = lp_doc()
     mutate(doc)
     with pytest.raises(ProblemFileError, match=message):
         load_problem(write_doc(tmp_path, doc))
@@ -331,14 +318,14 @@ def test_non_integral_sizes_and_indices_rejected(tmp_path, mutate, message):
 def test_indices_outside_int64_rejected(tmp_path, big):
     # an integral float and an int past int64 get the same named error, and
     # the float is never cast (numpy's cast would warn and wrap)
-    doc = minimal_doc()
+    doc = lp_doc()
     doc["A"]["rows"] = [0, big]
     with pytest.raises(ProblemFileError, match="field 'rows' holds an integer outside"):
         load_problem(write_doc(tmp_path, doc))
 
 
 def test_integral_floats_accepted_as_sizes_and_indices(tmp_path):
-    doc = minimal_doc()
+    doc = lp_doc()
     doc["A"].update(m=1.0, n=2.0, rows=[0.0, 0], cols=[0, 1.0])
     doc["cones"][0]["dim"] = 2.0
     c, A, b, cones, x0 = load_problem(write_doc(tmp_path, doc))
@@ -360,13 +347,13 @@ def test_unreadable_or_invalid_json(tmp_path):
 
 def test_non_utf8_file_rejected(tmp_path):
     path = tmp_path / "utf16.json"
-    path.write_bytes(b"\xff\xfe" + json.dumps(minimal_doc()).encode())
+    path.write_bytes(b"\xff\xfe" + json.dumps(lp_doc()).encode())
     with pytest.raises(ProblemFileError, match="not UTF-8 text"):
         load_problem(path)
 
 
 def solved_result(tmp_path):
-    path = write_doc(tmp_path, minimal_doc(), name="solve_me.json")
+    path = write_doc(tmp_path, lp_doc(), name="solve_me.json")
     c, A, b, cones, x0 = load_problem(path)
     return solve_cones(c, A, b, cones, x0=x0)
 

@@ -28,6 +28,8 @@ from nsconic.solver import (
     solve,
 )
 
+from _util import count_calls
+
 
 def lp_problem():
     # min x1 + 2 x2  s.t.  x1 + x2 = 2, x >= 0; optimum (2, 0), value 2
@@ -347,16 +349,6 @@ def test_free_variable_lp_through_product():
     assert abs(res.p_obj - 1.0) <= 1e-6
 
 
-def _counting(monkeypatch, name, seen):
-    original = getattr(nsconic.solver, name)
-
-    def counted(*args):
-        seen.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(nsconic.solver, name, counted)
-
-
 @pytest.mark.parametrize("case", ["lp", "random_lp", "primal_infeasible"])
 def test_residuals_computed_once_per_iterate(monkeypatch, case):
     if case == "lp":
@@ -370,7 +362,7 @@ def test_residuals_computed_once_per_iterate(monkeypatch, case):
         )
         oracle, x0 = NonnegativeBarrier(2), None
     calls = []
-    _counting(monkeypatch, "residuals", calls)
+    count_calls(monkeypatch, nsconic.solver, "residuals", calls)
     res = solve(prob, oracle, x0)
     assert res.iterations > 0
     # once at the start and once per recorded iterate; the result reuses them
@@ -379,7 +371,7 @@ def test_residuals_computed_once_per_iterate(monkeypatch, case):
 
 def test_proximity_evaluated_once_per_oracle_result(monkeypatch):
     calls = []
-    _counting(monkeypatch, "proximity", calls)
+    count_calls(monkeypatch, nsconic.solver, "proximity", calls)
     prob, x_hat = random_lp(30, 80, 0)
     res = solve(prob, NonnegativeBarrier(80), x_hat)
     assert res.status is SolverStatus.OPTIMAL
