@@ -5,14 +5,15 @@ returns the barrier value, the gradient and the factored Hessian at x, or
 ``EXTERIOR``. The factored Hessian is an object (``DiagonalHessian`` or
 ``DenseHessian`` from ``linalg``) that holds the Hessian H = LL' as its
 lower Cholesky factor L alone; it multiplies and solves with H and with L
-and forms L^{-1} A' for the Newton solve. A separable barrier returns the
-diagonal kind, whose factor is free and which never builds an n x n array.
-Other oracles return the dense kind. Where H = G'G for a known G,
-``Barrier._finish_qr`` takes L from a QR of G (LAPACK ``geqrf``), so
-cond(H) is never squared and H is never formed: the exponential cone's G
-stacks the four rank-one terms of its Hessian, the power cone's stacks two
-rank-one terms, the scaled factor of -hess(prod x_i^w_i) and a diagonal,
-and a pullback's is the inner factor times the map. The second-order cone
+and forms the normal matrix A H^{-1} A' for the Newton solve, as
+``normal(A)``. A separable barrier returns the diagonal kind, whose factor
+is free and which never builds an n x n array. Other oracles return the
+dense kind. Where H = G'G for a known G, ``Barrier._finish_qr`` takes L
+from a QR of G (LAPACK ``geqrf``), so cond(H) is never squared and H is
+never formed: the exponential cone's G stacks the four rank-one terms of
+its Hessian, the power cone's stacks two rank-one terms, the scaled factor
+of -hess(prod x_i^w_i) and a diagonal, and a pullback's is the inner
+factor times the map. The second-order cone
 passes H to ``Barrier._finish``, which keeps only its Cholesky factor; a
 product with a dense block writes its blocks' factors into one L.
 ``contains(x)`` answers membership alone, as ``eval(x).in_interior``. The

@@ -22,8 +22,8 @@ from dataclasses import astuple
 
 import numpy as np
 
-from .barriers import FdCheckReport, NonnegativeBarrier, fd_check
-from .cones import CONE_TYPES, ConeSpec, block_oracle, solve_cones
+from .barriers import FdCheckReport, fd_check
+from .cones import _BUILTINS, CONE_TYPES, ConeSpec, block_oracle, solve_cones
 from .edesign import build_edesign, random_design_matrix
 from .fileio import load_problem, save_problem, write_result
 from .generators import random_lp
@@ -113,23 +113,16 @@ def _emit_result(result, args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    c, A, b, cones, x0 = load_problem(args.file)
-    result = solve_cones(c, A, b, cones, x0=x0, options=_make_options(args))
+    result = solve_cones(*load_problem(args.file), options=_make_options(args))
     return _emit_result(result, args)
 
 
 def _cmd_random_lp(args) -> int:
     prob, x_hat = random_lp(args.m, args.n, args.seed)
+    problem = (prob.c, prob.A, prob.b, [ConeSpec("lp", prob.n)], x_hat)
     if args.emit:
-        save_problem(
-            args.emit,
-            prob.c,
-            prob.A,
-            prob.b,
-            [ConeSpec("lp", prob.n)],
-            x0=x_hat,
-        )
-    result = solve(prob, NonnegativeBarrier(prob.n), x_hat, _make_options(args))
+        save_problem(args.emit, *problem)
+    result = solve_cones(*problem, options=_make_options(args))
     return _emit_result(result, args)
 
 
@@ -140,17 +133,11 @@ def _cmd_edesign(args) -> int:
     return _emit_result(result, args)
 
 
-_CHECK_DIMS = {"lp": 5, "socp": 4, "free": 3}
-
-
 def _barrier_for_check(args):
-    """Built-in barrier from the flags, with ConeSpec's validation."""
-    dim, lam = args.dim, args.lam
-    if args.cone == "gpow":
-        lam = (0.5, 0.5) if lam is None else lam
-    elif dim is None:
-        dim = _CHECK_DIMS.get(args.cone)
-    return block_oracle(ConeSpec(args.cone, dim, lam))
+    """The tag's example block with the given flags over it, validated by
+    ConeSpec like a problem file's block."""
+    flags = {k: v for k, v in [("dim", args.dim), ("lam", args.lam)] if v is not None}
+    return block_oracle(ConeSpec(args.cone, **{**_BUILTINS[args.cone][2], **flags}))
 
 
 def _sample_near_start(oracle, rng):

@@ -26,7 +26,7 @@ from .barriers import (
     power_weights,
 )
 from .hsd import ProblemData
-from .linalg import DimensionMismatch, SparseMatrix, as_int, as_vector
+from .linalg import DimensionMismatch, SparseMatrix, as_int, as_real, as_vector
 from .solver import SolverOptions, SolverResult, solve
 
 __all__ = [
@@ -41,14 +41,21 @@ __all__ = [
     "solve_cones",
 ]
 
-# tag -> (block-oracle builder, the dimension the tag fixes or None); a free
-# block is embedded in a second-order cone one dimension up
+# tag -> (block-oracle builder, the dimension the tag fixes or None, the
+# ConeSpec fields of the example block that check-barrier builds). A free
+# block's oracle is a second-order cone one dimension wider than its spec;
+# build_cones and embed_point find its dummy, the first coordinate, by that
+# extra width alone.
 _BUILTINS = {
-    "free": (lambda spec: SecondOrderBarrier(spec.dim + 1), None),
-    "lp": (lambda spec: NonnegativeBarrier(spec.dim), None),
-    "socp": (lambda spec: SecondOrderBarrier(spec.dim), None),
-    "exp": (lambda spec: ExponentialBarrier(), lambda spec: 3),
-    "gpow": (lambda spec: PowerBarrier(spec.lam), lambda spec: len(spec.lam) + 1),
+    "free": (lambda spec: SecondOrderBarrier(spec.dim + 1), None, {"dim": 3}),
+    "lp": (lambda spec: NonnegativeBarrier(spec.dim), None, {"dim": 5}),
+    "socp": (lambda spec: SecondOrderBarrier(spec.dim), None, {"dim": 4}),
+    "exp": (lambda spec: ExponentialBarrier(), lambda spec: 3, {}),
+    "gpow": (
+        lambda spec: PowerBarrier(spec.lam),
+        lambda spec: len(spec.lam) + 1,
+        {"lam": (0.5, 0.5)},
+    ),
 }
 CONE_TYPES = tuple(_BUILTINS)
 
@@ -130,8 +137,8 @@ def build_cones(specs) -> ConeProduct:
     if not specs:
         raise ConeSpecError("cone list is empty")
     oracle = ProductBarrier(block_oracle(spec) for spec in specs)
-    # each free block's dummy is the first coordinate of its Lorentz block
-    dummies = oracle.offsets[:-1][[spec.type == "free" for spec in specs]]
+    wider = [f.dim > spec.dim for f, spec in zip(oracle.factors, specs)]
+    dummies = oracle.offsets[:-1][wider]
     ambient_to_internal = np.setdiff1d(np.arange(oracle.dim), dummies)
     return ConeProduct(
         specs=specs,
@@ -145,11 +152,11 @@ def build_cones(specs) -> ConeProduct:
 
 def embed_point(cp: ConeProduct, x) -> np.ndarray:
     """Lift an ambient point, giving each free dummy a strictly feasible value."""
-    x = as_vector(x, cp.ambient_dim, "point")
+    x = as_vector(as_real(x, "point"), cp.ambient_dim, "point")
     v = np.zeros(cp.internal_dim)
     v[cp.ambient_to_internal] = x
     for spec, block in zip(cp.specs, cp.oracle.blocks(v)):
-        if spec.type == "free":
+        if block.size > spec.dim:
             block[0] = np.sqrt(1.0 + block[1:] @ block[1:])
     return v
 

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barriers import BarrierEval
-from .linalg import SparseMatrix, as_vector, solve_lower, solve_lower_t, try_chol
+from .linalg import (
+    SparseMatrix,
+    as_real,
+    as_vector,
+    solve_lower,
+    solve_lower_t,
+    try_chol,
+)
 
 __all__ = [
     "ProblemData",
@@ -56,8 +63,8 @@ class ProblemData:
     def __post_init__(self):
         self.A = SparseMatrix.coerce(self.A)
         m, n = self.A.shape
-        self.b = as_vector(self.b, m, "b")
-        self.c = as_vector(self.c, n, "c")
+        self.b = as_vector(as_real(self.b, "b"), m, "b")
+        self.c = as_vector(as_real(self.c, "c"), n, "c")
         if not (np.isfinite(self.b).all() and np.isfinite(self.c).all()):
             raise ValueError("problem data must be finite")
 

@@ -17,6 +17,7 @@ from scipy.linalg import lapack
 __all__ = [
     "DimensionMismatch",
     "as_int",
+    "as_real",
     "as_vector",
     "SparseMatrix",
     "try_chol",
@@ -45,6 +46,30 @@ def as_int(value, name: str, error: type[Exception] = ValueError) -> int:
     raise error(f"{name} must be an integer, got {value!r}")
 
 
+def as_real(v, name: str):
+    """v, an array or a scipy sparse matrix, as float64. Complex input raises
+    ValueError naming ``name``, since the cast would drop its imaginary part."""
+    a = v if sps.issparse(v) else np.asarray(v)
+    if a.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got {a.dtype} values")
+    return a.astype(np.float64, copy=False)
+
+
+def _as_indices(v, name: str) -> np.ndarray:
+    """v as a 1-D int64 array. Integers and integral floats are accepted;
+    bools, fractions, non-finite floats and anything else raise ValueError
+    naming ``name`` instead of being cast, and an integral float past int64
+    raises DimensionMismatch."""
+    a = np.atleast_1d(np.asarray(v))
+    if a.dtype.kind in "iu":
+        return a.astype(np.int64, copy=False)
+    if a.dtype.kind == "f" and np.isfinite(a).all() and (a == np.trunc(a)).all():
+        if np.abs(a).max(initial=0.0) >= 2.0**63:
+            raise DimensionMismatch(f"{name} holds an index outside int64")
+        return a.astype(np.int64)
+    raise ValueError(f"{name} must hold integers (or integral floats), got {a.dtype}")
+
+
 def as_vector(v, n: int, what: str) -> np.ndarray:
     """v as a float64 array of shape (n,); DimensionMismatch names ``what``."""
     v = np.asarray(v, dtype=np.float64)
@@ -58,9 +83,10 @@ class SparseMatrix:
 
     Input triplets may be unsorted and may contain duplicate ``(row, col)``
     pairs; duplicates are summed during canonicalization, and entries that
-    are or sum to zero are dropped. Matrix-vector products run on ``csc`` and
-    on its transpose, a compressed-row view of A' built once, on first use,
-    over the same arrays.
+    are or sum to zero are dropped. Indices must be integers or integral
+    floats and values real: input that a cast would change raises ValueError.
+    Matrix-vector products run on ``csc`` and on its transpose, a
+    compressed-row view of A' built once, on first use, over the same arrays.
     """
 
     def __init__(self, nrows, ncols, rows, cols, vals):
@@ -68,9 +94,9 @@ class SparseMatrix:
         ncols = as_int(ncols, "ncols", DimensionMismatch)
         if nrows < 0 or ncols < 0:
             raise DimensionMismatch("matrix dimensions must be nonnegative")
-        rows = np.atleast_1d(np.asarray(rows, dtype=np.int64))
-        cols = np.atleast_1d(np.asarray(cols, dtype=np.int64))
-        vals = np.atleast_1d(np.asarray(vals, dtype=np.float64))
+        rows = _as_indices(rows, "rows")
+        cols = _as_indices(cols, "cols")
+        vals = np.atleast_1d(as_real(vals, "vals"))
         if not (rows.shape == cols.shape == vals.shape) or rows.ndim != 1:
             raise DimensionMismatch("triplet arrays must be 1-D and equally long")
         if rows.size:
@@ -96,7 +122,7 @@ class SparseMatrix:
         scipy sparse or dense input."""
         if isinstance(A, cls):
             return A
-        arr = A if sps.issparse(A) else np.asarray(A, dtype=np.float64)
+        arr = as_real(A, "A")
         if arr.ndim != 2:
             raise DimensionMismatch(f"expected a 2-D array, got shape {arr.shape}")
         coo = sps.coo_array(arr)

@@ -45,7 +45,7 @@ from .hsd import (
     proximity,
     residuals,
 )
-from .linalg import DimensionMismatch, as_int
+from .linalg import DimensionMismatch, as_int, as_real
 
 __all__ = [
     "SolverStatus",
@@ -180,7 +180,7 @@ def _start(prob, oracle, x0):
         x0 = oracle.initial_point
         if x0 is None:
             raise ValueError("oracle has no canonical initial point; pass x0")
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = as_real(x0, "x0")
     ev = oracle.eval(x0)
     if not ev.in_interior:
         raise ExteriorPointError("initial point is not strictly interior")

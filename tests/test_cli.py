@@ -165,12 +165,15 @@ def test_random_lp_deterministic_for_seed(capsys):
 
 
 def test_solving_emitted_file_matches_direct_run(tmp_path, capsys):
-    emitted = tmp_path / "inst.json"
-    main(["random-lp", "--m", "3", "--n", "8", "--seed", "4", "--emit", str(emitted)])
-    direct = capsys.readouterr().out
-    assert main(["solve", str(emitted)]) == 0
-    from_file = capsys.readouterr().out
-    assert without_timing(from_file) == without_timing(direct)
+    # random-lp solves the problem it emits, through the same path as solve
+    for m, n, seed in [("3", "8", "4"), ("20", "50", "1")]:
+        emitted = tmp_path / f"inst-{seed}.json"
+        args = ["random-lp", "--m", m, "--n", n, "--seed", seed, "--emit", str(emitted)]
+        assert main(args) == 0
+        direct = capsys.readouterr().out
+        assert main(["solve", str(emitted)]) == 0
+        from_file = capsys.readouterr().out
+        assert without_timing(from_file) == without_timing(direct)
 
 
 def test_edesign_command(capsys):
@@ -186,10 +189,15 @@ def test_edesign_command(capsys):
     assert doc["pObj"] < 0.0  # maximizing a positive eigenvalue
 
 
+# free's example block is 3-dimensional; its Lorentz cone is one dimension up
+_EXAMPLE_DIMS = {"lp": 5, "socp": 4, "free": 4, "exp": 3, "gpow": 3}
+
+
 @pytest.mark.parametrize("cone", CONE_TYPES)
 def test_check_barrier_passes_for_builtins(cone, capsys):
     assert main(["check-barrier", "--cone", cone]) == 0
     out = capsys.readouterr().out
+    assert out.startswith(f"cone {cone} (dim {_EXAMPLE_DIMS[cone]},")
     assert "max gradient error" in out
     assert "result: OK" in out
 

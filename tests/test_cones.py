@@ -149,6 +149,8 @@ def test_embed_strip_roundtrip():
     np.testing.assert_array_equal(strip_point(cp, v), x)
     with pytest.raises(DimensionMismatch):
         embed_point(cp, np.ones(4))
+    with pytest.raises(ValueError, match="point must be real"):
+        embed_point(cp, x + 1j)
 
 
 def test_lift_identity_without_free_blocks():

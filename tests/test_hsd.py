@@ -49,6 +49,14 @@ def test_problem_data_validation():
             ProblemData(mat, b, c)
     with pytest.raises(ValueError):
         ProblemData(A, np.array([1.0, np.inf]), np.ones(2))
+    # complex data is refused, not cast to its real part
+    for mat, b, c, name in [
+        (np.array([[1 + 2j, 1.0]]), [1.0], [1.0, 1.0], "A"),
+        (A, [1.0, 1j], np.ones(2), "b"),
+        (A, np.ones(2), np.array([1.0, 0j]), "c"),
+    ]:
+        with pytest.raises(ValueError, match=f"{name} must be real"):
+            ProblemData(mat, b, c)
 
 
 def test_residuals_hand_case():

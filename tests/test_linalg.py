@@ -238,6 +238,24 @@ def test_sparse_index_validation():
             SparseMatrix(bad, 3, [0], [0], [1.0])
         with pytest.raises(DimensionMismatch, match="ncols must be an integer"):
             SparseMatrix(3, bad, [0], [0], [1.0])
+    # a cast would truncate fractions, read True as 1 and drop imaginary parts
+    for rows, cols, message in [
+        ([0.7, 1.2], [0, 1], "rows must hold integers"),
+        ([True], [1], "rows must hold integers"),
+        ([0], [np.nan], "cols must hold integers"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            SparseMatrix(2, 2, rows, cols, np.ones(len(rows)))
+    with pytest.raises(ValueError, match="vals must be real"):
+        SparseMatrix(2, 2, [0], [0], [1.0 + 2.0j])
+    for complex_A in (np.array([[1.0 + 2.0j]]), sps.csc_array(np.array([[2.0j]]))):
+        with pytest.raises(ValueError, match="A must be real"):
+            SparseMatrix.coerce(complex_A)
+    with pytest.raises(DimensionMismatch, match="rows holds an index outside int64"):
+        SparseMatrix(2, 2, [1e300], [0], [1.0])
+    # integral floats are indices, as in problem files
+    A = SparseMatrix(2, 2, np.array([0.0, 1.0]), [0, 1], [1.0, 2.0])
+    np.testing.assert_array_equal(A.toarray(), np.diag([1.0, 2.0]))
 
 
 def test_sparse_matvec_shape_check():

@@ -79,6 +79,9 @@ def test_initial_iterate_rejects_exterior_start():
     prob = lp_problem()
     with pytest.raises(ExteriorPointError):
         initial_iterate(prob, NonnegativeBarrier(2), x0=np.array([1.0, -1.0]))
+    # a complex start is refused, not cast to its real part
+    with pytest.raises(ValueError, match="x0 must be real"):
+        initial_iterate(prob, NonnegativeBarrier(2), x0=np.array([1.0 + 1j, 1.0]))
 
 
 def test_initial_iterate_requires_canonical_point():
