@@ -182,9 +182,10 @@ def newton_solve(
     ``normal`` and the bordering term L^{-1} A'v from its ``half_solve`` (the
     factor of mu H is sqrt(mu) L, so no refactorization happens here). One
     round of iterative refinement against the full system, with H = LL' as
-    every solve uses it, cleans up the direction. A Cholesky breakdown of the
-    reduced matrix is retried once with a trace-scaled shift added to N's
-    diagonal in place (``try_chol`` copied N, so it is intact) before giving up.
+    every solve uses it, cleans up the direction. N is factored where
+    ``normal`` left it, so a Cholesky breakdown of the reduced matrix leaves N
+    undefined: the one retry rebuilds N and adds a trace-scaled shift to its
+    diagonal in place before giving up.
     """
     A, b, c = prob.A, prob.b, prob.c
     m = prob.m
@@ -201,11 +202,15 @@ def newton_solve(
     w_vec = b - Au
     N = H.normal(A)
     N /= mu  # in place: a second m x m array slowed sparse LP solves by about 8%
-    LN = try_chol(N)
+    # potrf factors N where it lies; a failed attempt leaves it undefined
+    LN = try_chol(N, overwrite=True)
     if LN is None:
+        del N  # not held while its replacement is built
+        N = H.normal(A)
+        N /= mu
         t = float(np.trace(N)) / m
         N[np.diag_indices(m)] += 1e-12 * (t if t > 0.0 else 1.0)
-        LN = try_chol(N)
+        LN = try_chol(N, overwrite=True)
     if LN is None:
         raise SingularSystemError("reduced normal-equations matrix is not positive definite")
 

@@ -162,11 +162,11 @@ def try_chol(mat, overwrite: bool = False) -> np.ndarray | None:
     upper triangle of L is exactly zero, and a 0 x 0 ``mat`` gives a 0 x 0 L.
     A non-square ``mat`` raises DimensionMismatch.
 
-    By default ``mat`` is never modified: ``hsd.newton_solve``'s shifted retry
-    needs N intact (ROADMAP item 1 says why that default stays). With
-    ``overwrite`` the caller gives ``mat`` up: a Fortran-ordered float64
-    ``mat`` is factored in place and returned as L, and after a failed
-    factorization its contents are undefined. Any other ``mat`` is copied.
+    By default ``mat`` is copied and never modified, for callers outside
+    nsconic. Every caller inside it passes ``overwrite`` and so gives ``mat``
+    up: a Fortran-ordered float64 ``mat`` is factored in place and returned
+    as L, and after a failed factorization its contents are undefined. Any
+    other ``mat`` is copied.
     """
     a = _as_square(mat)
     if not np.isfinite(a).all():
@@ -238,7 +238,8 @@ class DiagonalHessian:
         return np.diag(self.l)
 
     def normal(self, A: SparseMatrix) -> np.ndarray:
-        """A H^{-1} A' as a new dense array, from W = L^{-1} A' kept sparse.
+        """A H^{-1} A' as a new Fortran-ordered dense array, from W = L^{-1} A'
+        kept sparse, so ``try_chol(N, overwrite=True)`` factors it in place.
         The CSC arrays of A are the CSR arrays of A', so only values are scaled."""
         csc = A.csc
         d = 1.0 / as_vector(self.l, A.shape[1], "scaling")
@@ -268,9 +269,12 @@ class DenseHessian:
         return solve_lower_t(self.L, solve_lower(self.L, v))
 
     def normal(self, A: SparseMatrix) -> np.ndarray:
-        """A H^{-1} A' as a new dense array, from W = L^{-1} A' formed dense."""
+        """A H^{-1} A' as a new Fortran-ordered dense array, from W = L^{-1} A'
+        formed dense, so ``try_chol(N, overwrite=True)`` factors it in place.
+        numpy forms W'W by ``syrk``, which makes it exactly symmetric, so its
+        transpose is the same matrix in Fortran order."""
         W = solve_lower(self.L, A.toarray().T)
-        return W.T @ W
+        return (W.T @ W).T
 
     def toarray(self) -> np.ndarray:
         return self.L @ self.L.T

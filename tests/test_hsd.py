@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from _util import (
     dense_newton_reference,
     direction_as_vector,
@@ -296,6 +297,26 @@ def test_newton_shifted_retry_adds_no_second_normal_matrix(monkeypatch):
     peak = traced_peak(lambda: out.append(newton_solve(prob, z, mu, ev, rhs)))
     assert calls == [(m, m), (m, m)]
     assert peak <= 2.5 * 8.0 * m**2
+    assert np.isfinite(direction_as_vector(out[0])).all()
+
+
+def test_newton_factors_the_normal_matrix_without_a_copy():
+    # N is factored where the diagonal Hessian's normal() leaves it, so a
+    # non-singular solve holds one m x m array, not N and a copy for potrf
+    m, n = 300, 900
+    rng = np.random.default_rng(29)
+    R = sps.random(m, n - m, density=0.02, random_state=rng, format="csc")
+    prob = ProblemData(sps.hstack([sps.eye(m), R]), np.ones(m), np.ones(n))
+    oracle = NonnegativeBarrier(n)
+    x = rng.uniform(0.5, 2.0, n)
+    z = Iterate(np.zeros(m), x, 1.0, 1.0 / x, 1.0)
+    ev = oracle.eval(z.x)
+    mu = gap(z, oracle.nu)
+    rhs = predictor_rhs(z, prob)
+    newton_solve(prob, z, mu, ev, rhs)  # warm-up: caches such as A's transpose
+    out = []
+    peak = traced_peak(lambda: out.append(newton_solve(prob, z, mu, ev, rhs)))
+    assert peak <= 1.75 * 8.0 * m**2
     assert np.isfinite(direction_as_vector(out[0])).all()
 
 

@@ -331,6 +331,10 @@ def test_hessian_operations_agree_with_the_array(kind):
     N = hess.normal(SparseMatrix.coerce(dense))
     assert type(N) is np.ndarray and N.shape == (m, m)
     np.testing.assert_allclose(N, dense @ np.linalg.solve(H, dense.T), rtol=1e-10)
+    # Fortran order and exact symmetry let potrf factor N where it lies
+    assert N.flags.f_contiguous
+    np.testing.assert_array_equal(N, N.T)
+    assert np.shares_memory(try_chol(N, overwrite=True), N)
 
 
 def test_as_vector_sites_name_the_expected_shape():

@@ -259,7 +259,7 @@ def test_numerical_error_status_on_impossible_centering(monkeypatch):
         # no trial point lies within the proximity bound
         (nsconic.solver, "proximity", lambda *a: np.inf, "predictor line search"),
         # the normal matrix fails to factor, shifted or not
-        (nsconic.hsd, "try_chol", lambda mat: None, "normal-equations matrix"),
+        (nsconic.hsd, "try_chol", lambda mat, **kw: None, "normal-equations matrix"),
     ],
     ids=["predictor", "normal-matrix"],
 )
