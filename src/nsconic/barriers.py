@@ -107,10 +107,10 @@ class Barrier:
         """Assemble an interior result from the dense Hessian's Cholesky factor.
 
         The caller gives ``hessian`` up: potrf reads its lower triangle, and
-        a Fortran-ordered one is factored in place (``try_chol`` with
-        ``overwrite``) and becomes the result's L.
+        a Fortran-ordered one is factored in place by ``try_chol`` and
+        becomes the result's L.
         """
-        chol = try_chol(hessian, overwrite=True)
+        chol = try_chol(hessian)
         if chol is None:
             return EXTERIOR
         return BarrierEval(True, value, gradient, DenseHessian(chol))

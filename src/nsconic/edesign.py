@@ -84,7 +84,7 @@ class EDesignBarrier(Barrier):
         np.multiply(V, np.sqrt(x), out=B)
         M = blas.dsyrk(1.0, B, lower=1)
         M[np.diag_indices(n)] -= t
-        LM = try_chol(M, overwrite=True)
+        LM = try_chol(M)
         if LM is None:
             return EXTERIOR
         value = -2.0 * np.log(np.diag(LM)).sum() - np.log(x).sum()

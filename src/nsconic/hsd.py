@@ -203,14 +203,14 @@ def newton_solve(
     N = H.normal(A)
     N /= mu  # in place: a second m x m array slowed sparse LP solves by about 8%
     # potrf factors N where it lies; a failed attempt leaves it undefined
-    LN = try_chol(N, overwrite=True)
+    LN = try_chol(N)
     if LN is None:
         del N  # not held while its replacement is built
         N = H.normal(A)
         N /= mu
         t = float(np.trace(N)) / m
         N[np.diag_indices(m)] += 1e-12 * (t if t > 0.0 else 1.0)
-        LN = try_chol(N, overwrite=True)
+        LN = try_chol(N)
     if LN is None:
         raise SingularSystemError("reduced normal-equations matrix is not positive definite")
 

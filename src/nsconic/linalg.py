@@ -153,7 +153,7 @@ def _as_square(mat) -> np.ndarray:
     return a
 
 
-def try_chol(mat, overwrite: bool = False) -> np.ndarray | None:
+def try_chol(mat) -> np.ndarray | None:
     """Lower Cholesky factor L with L @ L.T == mat, or None when mat is not
     numerically positive definite or has any non-finite entry.
 
@@ -162,16 +162,15 @@ def try_chol(mat, overwrite: bool = False) -> np.ndarray | None:
     upper triangle of L is exactly zero, and a 0 x 0 ``mat`` gives a 0 x 0 L.
     A non-square ``mat`` raises DimensionMismatch.
 
-    By default ``mat`` is copied and never modified, for callers outside
-    nsconic. Every caller inside it passes ``overwrite`` and so gives ``mat``
-    up: a Fortran-ordered float64 ``mat`` is factored in place and returned
-    as L, and after a failed factorization its contents are undefined. Any
-    other ``mat`` is copied.
+    The caller gives ``mat`` up: a Fortran-contiguous float64 ``mat`` (every
+    1 x 1 one among them) is factored in place and returned as L, and after
+    a failed factorization its contents are undefined. Any other ``mat``,
+    C-ordered or not float64, is copied and keeps its contents.
     """
     a = _as_square(mat)
     if not np.isfinite(a).all():
         return None
-    L, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=int(overwrite))
+    L, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
     return L if info == 0 else None
 
 
@@ -239,7 +238,7 @@ class DiagonalHessian:
 
     def normal(self, A: SparseMatrix) -> np.ndarray:
         """A H^{-1} A' as a new Fortran-ordered dense array, from W = L^{-1} A'
-        kept sparse, so ``try_chol(N, overwrite=True)`` factors it in place.
+        kept sparse, so ``try_chol(N)`` factors it in place.
         The CSC arrays of A are the CSR arrays of A', so only values are scaled."""
         csc = A.csc
         d = 1.0 / as_vector(self.l, A.shape[1], "scaling")
@@ -270,7 +269,7 @@ class DenseHessian:
 
     def normal(self, A: SparseMatrix) -> np.ndarray:
         """A H^{-1} A' as a new Fortran-ordered dense array, from W = L^{-1} A'
-        formed dense, so ``try_chol(N, overwrite=True)`` factors it in place.
+        formed dense, so ``try_chol(N)`` factors it in place.
         numpy forms W'W by ``syrk``, which makes it exactly symmetric, so its
         transpose is the same matrix in Fortran order."""
         W = solve_lower(self.L, A.toarray().T)

@@ -8,9 +8,9 @@ once in ``_step``: cap the step at the tau/kappa boundary, then try the
 steps that ``_trials`` generates until the trial point is interior and its
 proximity passes the caller's test. Each search is one geometric sequence
 down to 2^-59 of the cap. The corrector's starts at the cap and halves; the
-predictor's at the step a fitted proximity model predicts, backtracking by
-a finer factor (see the step-rule constants below). The accepted
-point's oracle result and proximity are carried forward, and each
+predictor's at the step a fitted proximity model predicts, however small,
+backtracking by a finer factor (see the step-rule constants below). The
+accepted point's oracle result and proximity are carried forward, and each
 iterate's residuals are computed once and shared by the status test, the
 predictor, the history record and the result. When the corrector fails,
 the predictor point is recorded as the iterate and goes through the status
@@ -95,15 +95,13 @@ class LineSearchError(RuntimeError):
 # K = max(p - p0, 0)(1 - a) / a^2 in p(a) = p0 + K a^2 / (1 - a); the next
 # one starts where that model, from the new p0, reaches THETA * PRED_BETA
 # (1 for the first, whose K is 0), never above the cap, and backtracks by
-# WARM_FACTOR; the new p0 is at most ETA, below that target. A start below
-# COLD_START searches as the corrector does.
+# WARM_FACTOR; the new p0 is at most ETA, below that target.
 ETA = 0.07
 THETA = 0.8
 PRED_BETA = 0.5
 MAX_CORR_STEPS = 8
 LS_FACTOR = 0.5
 WARM_FACTOR = 0.8
-COLD_START = 1e-3
 MIN_STEP = 2.0**-59
 
 
@@ -198,10 +196,11 @@ def _boundary_cap(z: Iterate, d: Direction) -> float:
 
 
 def _trials(cap, start):
-    """A line search's trial steps down to MIN_STEP * cap: from min(cap, start)
-    by WARM_FACTOR when start >= COLD_START, else from cap by LS_FACTOR."""
-    warm = start >= COLD_START
-    alpha, factor = (min(cap, start), WARM_FACTOR) if warm else (cap, LS_FACTOR)
+    """A line search's trial steps down to MIN_STEP * cap: a predictor's
+    (start > 0) from min(cap, start) by WARM_FACTOR, the corrector's (start
+    0.0) from cap by LS_FACTOR."""
+    pred = start > 0.0
+    alpha, factor = (min(cap, start), WARM_FACTOR) if pred else (cap, LS_FACTOR)
     while alpha >= MIN_STEP * cap:
         yield alpha
         alpha *= factor
@@ -247,7 +246,7 @@ def _predictor(prob, oracle, z, ev, res, start):
 def _corrector(prob, oracle, z, ev, prox):
     """Damped centering steps until the iterate is back within ETA.
 
-    Each step's search is the cold one (start 0.0 < COLD_START). Each step
+    Each step's search (start 0.0) starts at the cap and halves. Each step
     drops its point's oracle result once the direction is formed, so while a
     search evaluates a trial, the only other oracle result alive is the
     predictor point's, which the caller holds."""

@@ -57,7 +57,7 @@ def test_chol_random_spd_reconstruction():
         n = int(rng.integers(1, 51))
         B = rng.standard_normal((n, n))
         M = B.T @ B + np.eye(n)
-        L = try_chol(M)
+        L = try_chol(M.copy())  # a 1 x 1 M would be factored in place
         assert np.all(np.triu(L, 1) == 0.0)
         assert np.all(np.diag(L) > 0.0)
         err = np.linalg.norm(L @ L.T - M) / np.linalg.norm(M)
@@ -77,30 +77,24 @@ def test_chol_empty_matrix():
 
 
 def test_chol_contract_on_random_spd():
-    # the input is left as it was, C and Fortran order agree, and the strict
-    # upper triangle of L is exactly zero (a product copies L into its factor)
+    # a Fortran float64 input (every 1 x 1 one) is factored in place, any
+    # other input is left as it was, C and Fortran order agree, and the
+    # strict upper triangle of L is exactly zero (a product copies L into
+    # its factor)
     rng = np.random.default_rng(2)
     for n in (1, 3, 17, 64):
         B = rng.standard_normal((n, n))
         M = B @ B.T + np.eye(n)
         F = np.asfortranarray(M)
-        before = M.copy()
-        L = try_chol(M)
-        np.testing.assert_array_equal(try_chol(F), L)
-        np.testing.assert_array_equal(M, before)
-        np.testing.assert_array_equal(F, before)
-        assert np.all(np.triu(L, 1) == 0.0)
-
-
-def test_chol_overwrite_factors_a_fortran_array_in_place():
-    rng = np.random.default_rng(3)
-    for n in (1, 3, 17, 64):
-        B = rng.standard_normal((n, n))
-        F = np.asfortranarray(B @ B.T + np.eye(n))
         expected = try_chol(F.copy())
-        L = try_chol(F, overwrite=True)
+        L = try_chol(F)
         np.testing.assert_array_equal(L, expected)
         assert np.shares_memory(L, F)
+        if n > 1:
+            before = M.copy()
+            np.testing.assert_array_equal(try_chol(M), L)
+            np.testing.assert_array_equal(M, before)
+        assert np.all(np.triu(L, 1) == 0.0)
 
 
 def test_solve_lower_hand_case():
@@ -124,7 +118,7 @@ def test_solve_roundtrip_random():
         n = int(rng.integers(1, 40))
         B = rng.standard_normal((n, n))
         M = B.T @ B + n * np.eye(n)  # comfortably conditioned
-        L = try_chol(M)
+        L = try_chol(M.copy())  # a 1 x 1 M would be factored in place
         b = rng.standard_normal(n)
         x = solve_lower_t(L, solve_lower(L, b))
         np.testing.assert_allclose(M @ x, b, rtol=0, atol=1e-8 * np.linalg.norm(b))
@@ -334,7 +328,7 @@ def test_hessian_operations_agree_with_the_array(kind):
     # Fortran order and exact symmetry let potrf factor N where it lies
     assert N.flags.f_contiguous
     np.testing.assert_array_equal(N, N.T)
-    assert np.shares_memory(try_chol(N, overwrite=True), N)
+    assert np.shares_memory(try_chol(N), N)
 
 
 def test_as_vector_sites_name_the_expected_shape():

@@ -582,8 +582,6 @@ def test_predictor_starts_near_its_last_step(monkeypatch, case):
         # the search before, never above the cap; the first has no fit, so
         # its root is 1 and it starts at the cap
         start = _fitted_start(fit, p0)
-        # no search here is cold
-        assert start >= nsconic.solver.COLD_START
         np.testing.assert_allclose(trials[0], min(cap, start), rtol=1e-14)
         assert trials[-1] == rec.step == alpha and p <= nsconic.solver.PRED_BETA
         f = nsconic.solver.WARM_FACTOR
@@ -646,15 +644,15 @@ def _reject_predictor_trials(monkeypatch, rejects):
     monkeypatch.setattr(Barrier, "eval", eval_)
 
 
-def test_predictor_starts_cold_below_cold_start(monkeypatch):
-    # the second predictor search gets a start below COLD_START, and its
-    # first trial is rejected
+def test_predictor_starts_at_a_small_fitted_start(monkeypatch):
+    # the second predictor search gets a start of 5e-4, and its first trial
+    # is rejected
     _reject_predictor_trials(monkeypatch, {2: 1})
     starts, real_start = [], nsconic.solver._predictor_start
 
     def predictor_start(fit, p0):
         starts.append(real_start(fit, p0))
-        return nsconic.solver.COLD_START / 2 if len(starts) == 2 else starts[-1]
+        return 5e-4 if len(starts) == 2 else starts[-1]
 
     monkeypatch.setattr(nsconic.solver, "_predictor_start", predictor_start)
     alphas, caps = _record_line_searches(monkeypatch)
@@ -663,17 +661,17 @@ def test_predictor_starts_cold_below_cold_start(monkeypatch):
     assert res.status is SolverStatus.OPTIMAL
     searches = _predictor_searches(res, alphas, caps)
     (_, first), (cap2, second) = searches[:2]
-    # the real start of the second search is warm
-    assert starts[1] >= nsconic.solver.COLD_START
-    # a start below COLD_START: the search starts at the cap and halves
-    assert second[0] == cap2 and len(second) >= 2
-    assert _ratios(second) == [nsconic.solver.LS_FACTOR] * (len(second) - 1)
+    # however small its start, a predictor search starts there (never above
+    # the cap) and backtracks by WARM_FACTOR
+    assert cap2 > 5e-4 and len(second) >= 2
+    assert second[0] == 5e-4
+    np.testing.assert_allclose(_ratios(second), nsconic.solver.WARM_FACTOR)
 
 
 def test_predictor_starts_at_the_fitted_root_after_a_tiny_step(monkeypatch):
     # reject the first 35 trials of the first predictor search: it accepts a
-    # step far below COLD_START, yet the fit from that step puts the second
-    # search's start well above it
+    # step below 5e-4, yet the fit from that step puts the second search's
+    # start well above it
     _reject_predictor_trials(monkeypatch, {1: 35})
     accepted = []  # (step, proximity) each predictor search accepted
     rejecting_predictor = nsconic.solver._predictor
@@ -692,7 +690,7 @@ def test_predictor_starts_at_the_fitted_root_after_a_tiny_step(monkeypatch):
     (cap1, first), (cap2, second) = searches[:2]
     alpha, p = accepted[0]
     assert len(first) == 36 and first[0] == cap1 and first[-1] == alpha
-    assert alpha < nsconic.solver.COLD_START / 2
+    assert alpha < 5e-4
     # the first search stepped from the central start (proximity 0)
     start = _fitted_start(p * (1.0 - alpha) / alpha**2, res.history[0].prox)
     assert 0.37 < start < 0.38

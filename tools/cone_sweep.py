@@ -7,8 +7,11 @@ instances of ``bench/workloads.py``, solves each through ``solve_cones`` at
 the instance's tolerance, or at TOL when given, and checks the answer with
 ``bench/check.py``'s ``Checker`` at that same tolerance, a new one for each
 seed. It prints one line per instance (seed:instance, status, iterations,
-seconds and the check's verdict), then the pass count and the total
-iteration count, and exits 1 when any instance fails its check. ``bench/``
+seconds and the check's verdict), then a summary line: the pass count, the
+total iterations, the total line-search oracle calls (``pred_trials +
+corr_trials`` over every history record; the start point's evaluation is
+not counted) and the instances that failed, so a step-rule change shows
+what it trades. It exits 1 when any instance fails its check. ``bench/``
 is imported read only and left without bytecode, and BLAS is pinned to one
 thread, as in ``bench/run.py``.
 Seeds 0-40 take a few minutes, so this is not part of the test suite.
@@ -47,7 +50,8 @@ def main(argv=None) -> int:
         return 2
     first, last = int(args[0]), int(args[1])
     tol = float(args[2]) if len(args) == 3 else None
-    passed = total = iters = 0
+    passed = total = iters = calls = 0
+    failed = []
     for seed in range(first, last + 1):
         # Checker caches references by instance name, and names repeat across seeds
         checker = Checker()
@@ -69,7 +73,11 @@ def main(argv=None) -> int:
             total += 1
             passed += not errs
             iters += res.iterations
-    print(f"passed {passed}/{total} in {iters} iterations")
+            calls += sum(r.pred_trials + r.corr_trials for r in res.history)
+            if errs:
+                failed.append(f"{seed}:{i}")
+    summary = f"passed {passed}/{total} in {iters} iterations and {calls} oracle calls"
+    print(summary + ("; failed: " + " ".join(failed) if failed else ""))
     return 0 if passed == total else 1
 
 

@@ -16,9 +16,11 @@ path) and ``random_lp(20, 50, s)`` for s = 0..4. Each solve adds its status
 and status string, its iteration count, every field of every
 ``IterationRecord``, tau, kappa, both objectives and the residual norms
 (floats as ``float.hex``), and the bytes of x, y and s. Instances come from
-``bench/workloads.py``, read only. The script calls no more of nsconic than
-``solve``, ``solve_cones`` and ``build_edesign``, so one copy of it runs on
-older checkouts too. BLAS is pinned to one thread, as in ``bench/run.py``.
+``bench/workloads.py``, read only. The script uses no more of nsconic than
+``solve``, ``solve_cones``, ``build_edesign``, ``ConeSpec``,
+``NonnegativeBarrier``, ``generators.random_lp`` and
+``solver.SolverOptions``, so one copy of it runs on older checkouts too.
+BLAS is pinned to one thread, as in ``bench/run.py``.
 """
 
 from __future__ import annotations
