@@ -23,12 +23,14 @@ means adding one oracle class that implements ``_evaluate(x)``.
 Points on the cone boundary count as exterior; all membership tests use
 strict inequalities. A Hessian whose factorization breaks down numerically
 is likewise reported as exterior, so callers can treat ``in_interior`` as
-"every field is usable". Non-finite points are exterior to every oracle.
+"every field is usable". Non-finite points are exterior to every oracle,
+and so are points where the value or gradient comes out non-finite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -94,7 +96,12 @@ class Barrier:
         x = as_vector(x, self.dim, "point")
         if not np.isfinite(x).all():
             return EXTERIOR
-        return self._evaluate(x)
+        # an overflowed value or gradient is exterior too, without a warning
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ev = self._evaluate(x)
+        if ev.in_interior and np.isfinite(ev.value) and np.isfinite(ev.gradient).all():
+            return ev
+        return EXTERIOR
 
     def contains(self, x) -> bool:
         """Whether x is strictly interior, as ``eval(x).in_interior``."""
@@ -349,8 +356,7 @@ class PullbackBarrier(Barrier):
         return self._finish_qr(ev.value, gradient, ev.hessian.L.T @ self.mat)
 
 
-@dataclass(frozen=True)
-class FdCheckReport:
+class FdCheckReport(NamedTuple):
     """Finite-difference and identity diagnostics for one oracle query."""
 
     grad_err: float

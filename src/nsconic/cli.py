@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import astuple
 
 import numpy as np
 
@@ -157,7 +156,7 @@ def _cmd_check_barrier(args) -> int:
     rng = np.random.default_rng(args.seed)
     n_points = 10
     points = (_sample_near_start(oracle, rng) for _ in range(n_points))
-    reports = [astuple(fd_check(oracle, x)) for x in points]
+    reports = [fd_check(oracle, x) for x in points]
     worst = FdCheckReport(*map(max, zip(*reports)))
     print(f"cone {args.cone} (dim {oracle.dim}, nu {oracle.nu:g}): {n_points} points")
     print(f"  max gradient error (rel):  {worst.grad_err:.3e}")

@@ -5,6 +5,9 @@ The solver works on the self-dual embedding of the conic pair
     min c'x  s.t.  Ax = b, x in K        max b'y  s.t.  A'y + s = c, s in K*
 
 whose iterate z = (y, x, tau, s, kappa) lives in R^m x K x R+ x K* x R+.
+``Iterate``, ``Direction``, ``NewtonRhs`` and ``Residuals`` are NamedTuples
+whose fields are their blocks in this order, so blockwise arithmetic zips
+over them and the order is written only in their definitions.
 The embedding operator is never materialized; all products are formed from
 A directly. Newton systems are reduced to one positive-definite system of
 order m plus a scalar bordering for the tau column. The barrier Hessian is
@@ -16,6 +19,7 @@ one forms from a sparse L^{-1} A', so n x n work happens only for dense cones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +81,7 @@ class ProblemData:
         return self.A.shape[1]
 
 
-@dataclass(frozen=True)
-class Iterate:
+class Iterate(NamedTuple):
     """Embedding iterate (y, x, tau, s, kappa); tau and kappa stay positive."""
 
     y: np.ndarray
@@ -88,17 +91,10 @@ class Iterate:
     kappa: float
 
     def step(self, d: "Direction", alpha: float) -> "Iterate":
-        return Iterate(
-            self.y + alpha * d.dy,
-            self.x + alpha * d.dx,
-            self.tau + alpha * d.dtau,
-            self.s + alpha * d.ds,
-            self.kappa + alpha * d.dkappa,
-        )
+        return Iterate(*(v + alpha * dv for v, dv in zip(self, d)))
 
 
-@dataclass(frozen=True)
-class Residuals:
+class Residuals(NamedTuple):
     """Embedding residuals: primal Ax - b tau, dual -A'y + c tau - s, gap b'y - c'x - kappa."""
 
     primal: np.ndarray
@@ -142,8 +138,7 @@ def proximity(z: Iterate, ev: BarrierEval, nu: float) -> float:
     return float(np.sqrt(w @ w + (z.tau * z.kappa - mu) ** 2) / mu)
 
 
-@dataclass(frozen=True)
-class NewtonRhs:
+class NewtonRhs(NamedTuple):
     """Right-hand side of the embedding Newton system, one block per equation.
 
     The unknown direction d = (dy, dx, dtau, ds, dkappa) satisfies
@@ -162,8 +157,7 @@ class NewtonRhs:
     r5: float
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(NamedTuple):
     dy: np.ndarray
     dx: np.ndarray
     dtau: float
@@ -242,17 +236,11 @@ def newton_solve(
         dkappa = float(b @ dy - c @ dx) - r3
         return Direction(dy, dx, dtau, ds, dkappa)
 
-    d = reduced(rhs.r1, rhs.r2, rhs.r3, rhs.r4, rhs.r5)
+    d = reduced(*rhs)
     # one refinement round: rows 2 and 3 are satisfied by construction, so
     # only the primal and complementarity rows carry residual
     rho1 = rhs.r1 - (A.matvec(d.dx) - b * d.dtau)
     rho4 = rhs.r4 - (d.ds + mu * (H @ d.dx))
     rho5 = rhs.r5 - (d.dkappa + gamma * d.dtau)
     corr = reduced(rho1, np.zeros(prob.n), 0.0, rho4, rho5)
-    return Direction(
-        d.dy + corr.dy,
-        d.dx + corr.dx,
-        d.dtau + corr.dtau,
-        d.ds + corr.ds,
-        d.dkappa + corr.dkappa,
-    )
+    return Direction(*(u + v for u, v in zip(d, corr)))

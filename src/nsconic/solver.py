@@ -237,7 +237,7 @@ def _predictor_start(fit, p0):
 
 def _predictor(prob, oracle, z, ev, res, start):
     """Aim at the embedding solution, backtrack into the PRED_BETA ball."""
-    rhs = NewtonRhs(-res.primal, -res.dual, -res.gap, -z.s, -z.kappa)
+    rhs = NewtonRhs(*(-r for r in res), -z.s, -z.kappa)
     d = newton_solve(prob, z, gap(z, oracle.nu), ev, rhs)
     failure = "predictor line search found no acceptable step"
     return _step(oracle, z, d, lambda p: p <= PRED_BETA, failure, start, 0)

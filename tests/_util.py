@@ -119,12 +119,11 @@ def dense_newton_reference(prob, z, mu, ev, rhs: NewtonRhs):
     # dkappa + (mu/tau^2) dtau = r5
     K[ik, it] = mu / z.tau**2
     K[ik, ik] = 1.0
-    rhs_vec = np.concatenate([rhs.r1, rhs.r2, [rhs.r3], rhs.r4, [rhs.r5]])
-    return np.linalg.solve(K, rhs_vec)
+    return np.linalg.solve(K, np.hstack(rhs))
 
 
 def direction_as_vector(d):
-    return np.concatenate([d.dy, d.dx, [d.dtau], d.ds, [d.dkappa]])
+    return np.hstack(d)
 
 
 def _compositions(total: int, parts: int):

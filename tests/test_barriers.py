@@ -15,7 +15,7 @@ from nsconic.barriers import (
     SecondOrderBarrier,
     fd_check,
 )
-from nsconic.cones import ConeSpec, block_oracle
+from nsconic.cones import ConeSpec, block_oracle, solve_cones
 from nsconic.edesign import EDesignBarrier
 from nsconic.linalg import DenseHessian, DiagonalHessian, DimensionMismatch
 
@@ -277,6 +277,25 @@ def test_nonfinite_point_is_exterior():
     b = NonnegativeBarrier(2)
     assert not b.eval(np.array([1.0, np.nan])).in_interior
     assert not b.eval(np.array([np.inf, 1.0])).in_interior
+
+
+def test_an_overflowing_evaluation_is_exterior_without_a_warning():
+    # each point is finite but so near the boundary, or so large, that the
+    # value, gradient or Hessian overflows; RuntimeWarning is an error here
+    for oracle, x in [
+        (NonnegativeBarrier(2), [1e-320, 1.0]),
+        (ExponentialBarrier(), [1e300, 1e-300, 0.0]),
+        (SecondOrderBarrier(3), [1e200, 1.0, 1.0]),
+        (EDesignBarrier(np.eye(2)), [0.0, 1e200, 1e200]),
+    ]:
+        ev = oracle.eval(np.array(x))
+        if ev.in_interior:
+            assert np.isfinite(ev.value) and np.isfinite(ev.gradient).all()
+    # a start on that boundary is named as such, not as overflowed data
+    with pytest.raises(ExteriorPointError, match="not strictly interior"):
+        solve_cones(
+            np.ones(2), np.ones((1, 2)), [1.0], [ConeSpec("lp", 2)], x0=[1e-320, 1.0]
+        )
 
 
 def test_shape_mismatch_raises():

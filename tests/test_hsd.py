@@ -17,6 +17,7 @@ import nsconic.hsd
 from nsconic.barriers import NonnegativeBarrier, ProductBarrier
 from nsconic.generators import random_lp
 from nsconic.hsd import (
+    Direction,
     Iterate,
     NewtonRhs,
     ProblemData,
@@ -83,6 +84,36 @@ def test_residuals_are_linear_in_z():
     np.testing.assert_allclose(rest.primal, 3.0 * res.primal, rtol=1e-14)
     np.testing.assert_allclose(rest.dual, 3.0 * res.dual, rtol=1e-14)
     np.testing.assert_allclose(rest.gap, 3.0 * res.gap, rtol=1e-14)
+
+
+def test_embedding_vectors_unpack_in_block_order():
+    rng = np.random.default_rng(8)
+    oracle = random_mixed_cone(rng, 8)
+    prob = random_problem(oracle, 3, rng)
+    z = random_state(prob, oracle, rng)
+    w = random_state(prob, oracle, rng)
+    d = Direction(w.y, w.x, w.tau, w.s, w.kappa)
+    rhs = NewtonRhs(*d)
+    y, x, tau, s, kappa = z
+    assert y is z.y and x is z.x and tau is z.tau and s is z.s and kappa is z.kappa
+    dy, dx, dtau, ds, dkappa = d
+    assert dy is d.dy and dx is d.dx and dtau is d.dtau
+    assert ds is d.ds and dkappa is d.dkappa
+    r1, r2, r3, r4, r5 = rhs
+    assert r1 is rhs.r1 and r2 is rhs.r2 and r3 is rhs.r3
+    assert r4 is rhs.r4 and r5 is rhs.r5
+    # the blockwise step is the field-by-field one, bit for bit
+    alpha = 0.37
+    zt = z.step(d, alpha)
+    expected = [
+        z.y + alpha * d.dy,
+        z.x + alpha * d.dx,
+        z.tau + alpha * d.dtau,
+        z.s + alpha * d.ds,
+        z.kappa + alpha * d.dkappa,
+    ]
+    for got, want in zip(zt, expected):
+        assert np.array_equal(got, want)
 
 
 def test_gap_hand_case():

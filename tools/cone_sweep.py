@@ -7,7 +7,9 @@ instances of ``bench/workloads.py``, solves each through ``solve_cones`` at
 the instance's tolerance, or at TOL when given, and checks the answer with
 ``bench/check.py``'s ``Checker`` at that same tolerance, a new one for each
 seed. It prints one line per instance (seed:instance, status, iterations,
-seconds and the check's verdict), then a summary line: the pass count, the
+seconds, the check's verdict and ``ptry max N``, where N is the most
+oracle calls one predictor line search made in the solve, the largest
+``pred_trials`` of its history), then a summary line: the pass count, the
 total iterations, the total line-search oracle calls (``pred_trials +
 corr_trials`` over every history record; the start point's evaluation is
 not counted) and the instances that failed, so a step-rule change shows
@@ -65,9 +67,10 @@ def main(argv=None) -> int:
             dt = time.perf_counter() - t0
             errs = checker.check(inst, res.status.value, res.x, res.y, res.s)
             verdict = "ok" if not errs else "FAIL: " + "; ".join(errs)
+            ptry = max((r.pred_trials for r in res.history), default=0)
             print(
                 f"{seed}:{i} {res.status.value} {res.iterations} iters"
-                f" {dt:.2f} s {verdict}",
+                f" {dt:.2f} s {verdict} ptry max {ptry}",
                 flush=True,
             )
             total += 1
