@@ -13,7 +13,9 @@ A directly. Newton systems are reduced to one positive-definite system of
 order m plus a scalar bordering for the tau column. The barrier Hessian is
 used only through the oracle's Hessian object: multiply, solve, half-solve
 with its factor L, and the dense normal matrix A H^{-1} A', which a diagonal
-one forms from a sparse L^{-1} A', so n x n work happens only for dense cones.
+one sums from the pairs of A's entries that share a column (or, for an A with
+more such pairs than m^2, forms from a sparse L^{-1} A'), so n x n work
+happens only for dense cones.
 """
 
 from __future__ import annotations

@@ -116,6 +116,31 @@ class SparseMatrix:
         # A' as a CSR view over the CSC arrays, built on the first transposed product
         return self.csc.T
 
+    @cached_property
+    def _col_pairs(self):
+        """Every ordered pair (p, q) of stored entries that share a column, as
+        ``(reps, b, tgt)``: the column's entry count for each entry (so
+        ``np.repeat(data, reps)`` gives data[p] pair by pair), q, and
+        row[p] + m * row[q]. Pairs run column by column in ascending order.
+        None when there are more pairs than m**2, so the index never holds
+        more than two dense m x m arrays' worth of integers."""
+        m = self.shape[0]
+        indptr = self.csc.indptr
+        counts = np.diff(indptr).astype(np.intp)
+        if int(counts @ counts) > m * m:
+            return None
+        rows = self.csc.indices.astype(np.intp)  # row * m must not wrap in int32
+        reps = np.repeat(counts, counts)
+        # q runs over its column from indptr[col]: pair k is q = k + indptr[col]
+        # minus where p's run of pairs starts
+        starts = np.cumsum(reps) - reps
+        b = np.arange(reps.sum(), dtype=np.intp)
+        b += np.repeat(np.repeat(indptr[:-1], counts) - starts, reps)
+        tgt = rows[b]
+        tgt *= m
+        tgt += np.repeat(rows, reps)
+        return reps, b, tgt
+
     @classmethod
     def coerce(cls, A) -> "SparseMatrix":
         """Return A as a SparseMatrix: kept as is, or converted from 2-D
@@ -214,8 +239,10 @@ def solve_lower_t(fac, rhs) -> np.ndarray:
 class DiagonalHessian:
     """H = diag(l**2) with factor L = diag(l), for separable barriers.
 
-    Solves and products are elementwise and ``normal`` forms A H^{-1} A'
-    through a sparse L^{-1} A'; only ``L`` and ``toarray`` form an n x n array.
+    Solves and products are elementwise, and ``normal`` forms A H^{-1} A'
+    from A's sparse columns: from the index of entry pairs that share a
+    column, which A builds once, or, for an A with more such pairs than m**2,
+    from a sparse L^{-1} A'. Only ``L`` and ``toarray`` form an n x n array.
     """
 
     def __init__(self, l):
@@ -237,14 +264,31 @@ class DiagonalHessian:
         return np.diag(self.l)
 
     def normal(self, A: SparseMatrix) -> np.ndarray:
-        """A H^{-1} A' as a new Fortran-ordered dense array, from W = L^{-1} A'
-        kept sparse, so ``try_chol(N)`` factors it in place.
-        The CSC arrays of A are the CSR arrays of A', so only values are scaled."""
+        """A H^{-1} A' as a new Fortran-ordered dense array, so ``try_chol(N)``
+        factors it in place.
+
+        With d = 1/l, N[i, k] = sum_j (A_ij d_j)(A_kj d_j) over the columns j
+        where both entries are stored. When A has at most m**2 such pairs, N
+        is one gather, one product and one ``np.bincount`` over A's cached
+        pair index. bincount adds each entry's terms in ascending j, the
+        operands and order of scipy's sparse product, so N has the same bits
+        as ``(W.T @ W).toarray()`` for W = L^{-1} A'. Past that bound, which
+        a dense A crosses, N is that sparse product. The CSC arrays of A are
+        the CSR arrays of A', so only values are scaled."""
         csc = A.csc
         d = 1.0 / as_vector(self.l, A.shape[1], "scaling")
         data = csc.data * np.repeat(d, np.diff(csc.indptr))
-        W = sps.csr_matrix((data, csc.indices, csc.indptr), shape=csc.shape[::-1])
-        return (W.T @ W).toarray()
+        pairs = A._col_pairs
+        if pairs is None:
+            W = sps.csr_matrix((data, csc.indices, csc.indptr), shape=csc.shape[::-1])
+            return (W.T @ W).toarray()
+        reps, b, tgt = pairs
+        m = A.shape[0]
+        prod = data[b]
+        prod *= np.repeat(data, reps)
+        # bincount gives int64 zeros when there are no pairs
+        N = np.bincount(tgt, weights=prod, minlength=m * m).astype(np.float64, copy=False)
+        return N.reshape((m, m), order="F")
 
     def toarray(self) -> np.ndarray:
         return np.diag(self.l * self.l)

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from scipy.optimize import linprog
 from _util import (
     dense_newton_reference,
     direction_as_vector,
@@ -15,6 +16,7 @@ from _util import (
 
 import nsconic.hsd
 from nsconic.barriers import NonnegativeBarrier, ProductBarrier
+from nsconic.cones import ConeSpec, solve_cones
 from nsconic.generators import random_lp
 from nsconic.hsd import (
     Direction,
@@ -29,6 +31,7 @@ from nsconic.hsd import (
     residuals,
 )
 from nsconic.linalg import DiagonalHessian, DimensionMismatch, SparseMatrix
+from nsconic.solver import SolverStatus
 
 
 def predictor_rhs(z, prob):
@@ -349,6 +352,30 @@ def test_newton_factors_the_normal_matrix_without_a_copy():
     peak = traced_peak(lambda: out.append(newton_solve(prob, z, mu, ev, rhs)))
     assert peak <= 1.75 * 8.0 * m**2
     assert np.isfinite(direction_as_vector(out[0])).all()
+
+
+def test_lp_solves_the_same_from_the_pair_index_and_the_sparse_product():
+    # every random_lp is dense and past the column-pair bound, so this [I | R]
+    # LP is the one solve here whose N comes from A's pair index; with the
+    # index's cached slot set to None the second solve takes the sparse
+    # product, and every bit of the two solves must agree
+    m, n = 60, 200
+    rng = np.random.default_rng(37)
+    R = sps.random(m, n - m, density=0.02, random_state=rng, format="csc")
+    A = SparseMatrix.coerce(sps.hstack([sps.eye(m), R]))
+    b = A.matvec(rng.uniform(0.5, 2.0, n))
+    c = A.matvec(rng.standard_normal(m), transpose=True) + rng.uniform(0.5, 2.0, n)
+    assert A._col_pairs is not None
+    first = solve_cones(c, A, b, [ConeSpec("lp", n)])
+    A._col_pairs = None
+    second = solve_cones(c, A, b, [ConeSpec("lp", n)])
+    assert first.status is SolverStatus.OPTIMAL
+    assert first.history == second.history
+    for name in ("x", "y", "s"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
+    highs = linprog(c, A_eq=A.toarray(), b_eq=b, bounds=(0, None), method="highs")
+    assert highs.status == 0
+    assert abs(first.p_obj - highs.fun) <= 1e-6 * (1.0 + abs(highs.fun))
 
 
 # diagonal Hessians take the sparse path through newton_solve and proximity;

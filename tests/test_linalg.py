@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sps
 from scipy.linalg import solve_triangular
 
+import nsconic.linalg
 from nsconic.barriers import NonnegativeBarrier
 from nsconic.cones import ConeSpec, build_cones, embed_point, strip_point
 from nsconic.linalg import (
@@ -297,6 +298,77 @@ def test_diagonal_normal_matches_dense(monkeypatch):
     np.testing.assert_allclose(N, expected, rtol=1e-10)
     with pytest.raises(DimensionMismatch):
         DiagonalHessian(np.ones(4)).normal(A)
+
+
+def _sparse_product_normal(A, l):
+    """A diag(l)^-2 A' as W'W for the sparse W = L^{-1} A', the scipy product
+    that forms N past the column-pair bound."""
+    csc = A.csc
+    data = csc.data * np.repeat(1.0 / l, np.diff(csc.indptr))
+    W = sps.csr_matrix((data, csc.indices, csc.indptr), shape=csc.shape[::-1])
+    return (W.T @ W).toarray()
+
+
+def _normal_cases():
+    """Parameters (A, l, path, pd): path is "pairs" or "product", the way
+    DiagonalHessian.normal forms N, and pd says N is positive definite."""
+    rng = np.random.default_rng(31)
+
+    def case(A, path, pd, name, l=None):
+        if l is None:
+            l = rng.uniform(0.5, 2.0, A.shape[1])
+        return pytest.param(A, l, path, pd, id=name)
+
+    def ident_plus(m, k, density):
+        R = rng.standard_normal((m, k)) * (rng.random((m, k)) < density)
+        return SparseMatrix.coerce(np.hstack([np.eye(m), R]))
+
+    # values and scalings over e^+-20 and e^+-15, so a change in the order of
+    # the sums shows in the last bits
+    A = ident_plus(30, 60, 0.05)
+    A.csc.data *= np.exp(rng.uniform(-20.0, 20.0, A.csc.nnz))
+    yield case(A, "pairs", False, "pairs-scaled", np.exp(rng.uniform(-15.0, 15.0, 90)))
+    yield case(ident_plus(30, 60, 0.05), "pairs", True, "pairs")
+    yield case(ident_plus(8, 12, 0.6), "product", True, "product")
+    # 10 unit columns, 9 columns of 3 entries and 9 of 1: exactly m**2 = 100
+    # pairs, and one full column more makes 200
+    m = 10
+    cols = [np.eye(m)]
+    for j in range(9):
+        col = np.zeros((m, 2))
+        col[[j, j + 1, (j + 5) % m], 0] = rng.standard_normal(3)
+        col[j, 1] = rng.standard_normal()
+        cols.append(col)
+    at_bound = np.hstack(cols)
+    yield case(SparseMatrix.coerce(at_bound), "pairs", True, "at-the-bound")
+    full = np.hstack([at_bound, rng.standard_normal((m, 1))])
+    yield case(SparseMatrix.coerce(full), "product", True, "one-full-column-over")
+    # unsorted triplets, duplicates that sum and ones that cancel, and empty
+    # columns 1 and 4
+    rows = [3, 0, 2, 0, 1, 3, 2, 1, 0, 0, 2]
+    cols = [5, 0, 3, 0, 2, 0, 6, 6, 3, 3, 3]
+    vals = [1.5, 2.0, -1.0, 0.5, 3.0, -2.0, 1.0, 4.0, 7.0, -7.0, 2.5]
+    yield case(SparseMatrix(4, 7, rows, cols, vals), "pairs", True, "unsorted-duplicates")
+    yield case(SparseMatrix(1, 4, [0], [2], [3.0]), "pairs", True, "m-1")
+    yield case(SparseMatrix.coerce(rng.standard_normal((1, 4))), "product", True, "m-1-product")
+    yield case(SparseMatrix(3, 5, [], [], []), "pairs", False, "all-zero")
+    yield case(SparseMatrix(0, 5, [], [], []), "pairs", False, "m-0")
+
+
+@pytest.mark.parametrize("A, l, path, pd", _normal_cases())
+def test_diagonal_normal_equals_the_sparse_product_bit_for_bit(A, l, path, pd, monkeypatch):
+    # below the bound N is summed from A's column-pair index, past it by the
+    # sparse product; both must give that product's bits
+    assert (A._col_pairs is None) == (path == "product")
+    if path == "pairs":  # and scipy's product does not run
+        monkeypatch.setattr(nsconic.linalg, "sps", None)
+    N = DiagonalHessian(l).normal(A)
+    expected = _sparse_product_normal(A, l)
+    assert N.dtype == np.float64 and N.shape == expected.shape
+    assert np.array_equal(N, expected)
+    assert N.flags.f_contiguous
+    if pd:
+        assert np.shares_memory(try_chol(N), N)
 
 
 def _hessian(kind, rng, n):
