@@ -49,12 +49,16 @@ class EDesignBarrier(Barrier):
     zero t row and column. It is squared in place, and its diagonal and t
     column are filled in; the t column comes from M^{-1} V = L^{-T} W, a
     second trmm over the same columns (n^2 p), and the t-t entry is
-    |M^{-1}|_F^2. ``Barrier._finish`` factors the Hessian in place
-    ((1+p)^3/3), so the returned L is the same array. At n = 200, p = 400
-    that is about 110 MFlop per interior evaluation, and the traced memory
-    peak of one evaluation is about 1.9 times the Hessian's 8 (1+p)^2
-    bytes. V is kept once, in Fortran order, the layout in which trmm
-    overwrites its operand in place.
+    |M^{-1}|_F^2. All of that is ``_derivatives``; the work array and M die
+    with its frame, and then ``Barrier._finish`` factors the Hessian in
+    place ((1+p)^3/3), so the returned L is the same array. At n = 200,
+    p = 400 that is about 110 MFlop per interior evaluation. The traced
+    memory peak of one evaluation is about 1.76 times the Hessian's
+    8 (1+p)^2 bytes at p = 2n, reached when the syrk writes the Hessian
+    beside the work array (n/(1+p) of its size) and L^{-1} (n^2/(1+p)^2);
+    while it is factored, only the Hessian and potrf's finiteness mask (1/8
+    of its size) are alive. V is kept once, in Fortran order, the layout in
+    which trmm overwrites its operand in place.
     ``contains`` is the base class's ``eval(x).in_interior``.
     """
 
@@ -69,12 +73,19 @@ class EDesignBarrier(Barrier):
         self.V = V
 
     def _evaluate(self, v):
+        # the work array, M and every view of them die with the frame of
+        # _derivatives, before _finish factors the Hessian
+        parts = self._derivatives(v)
+        return EXTERIOR if parts is None else self._finish(*parts)
+
+    def _derivatives(self, v):
+        """(value, gradient, Hessian's lower triangle) at v, or None outside K_E."""
         V = self.V
         n, p = V.shape
         t = v[0]
         x = v[1:]
         if x.min() <= 0.0:
-            return EXTERIOR
+            return None
         # the one work array: column 0 stays zero, so the syrk of the whole
         # array is the Hessian's shape with a zero t row and column; columns
         # 1..p hold V diag(sqrt(x)), then W = L^{-1} V, then U = M^{-1} V
@@ -86,7 +97,7 @@ class EDesignBarrier(Barrier):
         M[np.diag_indices(n)] -= t
         LM = try_chol(M)
         if LM is None:
-            return EXTERIOR
+            return None
         value = -2.0 * np.log(np.diag(LM)).sum() - np.log(x).sum()
         # inverse of the factor; potrf left a positive diagonal, so trtri cannot fail
         Li, _ = lapack.dtrtri(LM, lower=1, overwrite_c=1)
@@ -111,7 +122,7 @@ class EDesignBarrier(Barrier):
         d = np.diagonal(Minv)
         gradient[0] = d.sum()  # trace of M^{-1}
         hessian[0, 0] = 2.0 * np.einsum("ij,ij->", Minv, Minv) - d @ d
-        return self._finish(value, gradient, hessian)
+        return value, gradient, hessian
 
 
 def build_edesign(V):

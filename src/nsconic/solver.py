@@ -12,15 +12,26 @@ predictor's at the step a fitted proximity model predicts, however small,
 backtracking by a finer factor (see the step-rule constants below). The
 accepted point's oracle result and proximity are carried forward, and each
 iterate's residuals are computed once and shared by the status test, the
-predictor, the history record and the result. When the corrector fails,
-the predictor point is recorded as the iterate and goes through the status
-test; the failure ends the solve only if that point certifies nothing. A
-point becomes the iterate only once it is recorded, so the returned point
-and its residual norms are always those of the last history record, also
-when a Newton system turns singular mid-iteration. The embedding makes
-infeasibility detection a byproduct: a status is returned as soon as the
-iterate passes its certificate test (an optimal point (x, y, s)/tau, a
-Farkas ray in (y, s) or an improving ray in x).
+predictor, the history record and the result.
+
+Ownership: at most one factored Hessian is alive at a time, so when the
+oracle evaluates a point, no earlier interior result is reachable. A result
+is needed only until the Newton direction at its point is formed. ``solve``
+hands it on in a one-element list, ``held``, from which ``_predictor`` and
+``_corrector`` take it (``_take``) for their Newton solve, so no frame holds
+it while a line search evaluates trials; ``_step`` drops each rejected
+trial's result before the next.
+
+When the corrector fails, the predictor point is recorded as the iterate and
+goes through the status test; the failure ends the solve only if that point
+certifies nothing. No path reads an oracle result after that: the solve
+either returns or re-raises the failure. A point becomes the iterate only
+once it is recorded, so the returned point and its residual norms are
+always those of the last history record, also when a Newton system turns
+singular mid-iteration. The embedding makes infeasibility detection a
+byproduct: a status is returned as soon as the iterate passes its
+certificate test (an optimal point (x, y, s)/tau, a Farkas ray in (y, s) or
+an improving ray in x).
 """
 
 from __future__ import annotations
@@ -214,7 +225,8 @@ def _step(oracle, z, d, accept, failure, start, trials):
     proximity, trials), where ``trials`` is the count passed in plus this
     search's oracle calls. When every trial fails, raises LineSearchError
     with the message ``failure`` and that count. It needs no oracle result
-    of z, so a caller may drop z's before the search.
+    of z, and its callers hold none: while it evaluates a trial, no other
+    interior result is alive.
     """
     nu = oracle.nu
     for alpha in _trials(_boundary_cap(z, d), start):
@@ -235,21 +247,32 @@ def _predictor_start(fit, p0):
     return 2.0 * c / (c + np.sqrt(c * c + 4.0 * fit * c))
 
 
-def _predictor(prob, oracle, z, ev, res, start):
-    """Aim at the embedding solution, backtrack into the PRED_BETA ball."""
+def _take(held):
+    """The oracle result in the one-element list ``held``, leaving None there."""
+    ev, held[0] = held[0], None
+    return ev
+
+
+def _predictor(prob, oracle, z, held, res, start):
+    """Aim at the embedding solution, backtrack into the PRED_BETA ball.
+
+    ``held`` holds z's oracle result, which the Newton solve takes out, so
+    nothing holds it during the search. Returns ``_step``'s tuple."""
     rhs = NewtonRhs(*(-r for r in res), -z.s, -z.kappa)
-    d = newton_solve(prob, z, gap(z, oracle.nu), ev, rhs)
+    d = newton_solve(prob, z, gap(z, oracle.nu), _take(held), rhs)
     failure = "predictor line search found no acceptable step"
     return _step(oracle, z, d, lambda p: p <= PRED_BETA, failure, start, 0)
 
 
-def _corrector(prob, oracle, z, ev, prox):
+def _corrector(prob, oracle, z, held, prox):
     """Damped centering steps until the iterate is back within ETA.
 
-    Each step's search (start 0.0) starts at the cap and halves. Each step
-    drops its point's oracle result once the direction is formed, so while a
-    search evaluates a trial, the only other oracle result alive is the
-    predictor point's, which the caller holds."""
+    Returns (point, oracle result, proximity, steps, trials). Each step's
+    search (start 0.0) starts at the cap and halves. The predictor point's
+    oracle result comes in ``held`` and is taken out, and each step drops its
+    point's result once the direction is formed, so nothing holds it while
+    the search evaluates a trial."""
+    ev = _take(held)
     trials = 0
     for k in range(MAX_CORR_STEPS + 1):
         if prox <= ETA:
@@ -368,7 +391,8 @@ def solve(
     """
     opts = options if options is not None else SolverOptions()
     t0 = time.perf_counter()
-    z, ev = _start(prob, oracle, x0)
+    held = [None]  # the oracle result at z or zt, taken by the next Newton solve
+    z, held[0] = _start(prob, oracle, x0)
     nu = oracle.nu
     res = residuals(z, prob)
     history: list[IterationRecord] = []
@@ -393,10 +417,14 @@ def solve(
             if it == opts.max_iter:
                 break
             p0, start = prox, _predictor_start(fit, prox)
-            zt, ev, alpha, prox, ptrials = _predictor(prob, oracle, z, ev, res, start)
+            zt, held[0], alpha, prox, ptrials = _predictor(
+                prob, oracle, z, held, res, start
+            )
             fit = max(prox - p0, 0.0) * (1.0 - alpha) / alpha**2
             try:
-                zt, ev, prox, ncorr, ctrials = _corrector(prob, oracle, zt, ev, prox)
+                zt, held[0], prox, ncorr, ctrials = _corrector(
+                    prob, oracle, zt, held, prox
+                )
             except LineSearchError as exc:
                 # centering can stall near the solution, where the predictor
                 # point may already certify: record that point and let the

@@ -255,3 +255,17 @@ def test_a_solve_peaks_below_three_and_a_half_hessians():
     peak = traced_peak(lambda: results.append(solve(prob, barrier, x0, opts)))
     assert results[0].status is SolverStatus.OPTIMAL
     assert peak <= 3.5 * hessian_bytes
+
+
+def test_a_benchmark_sized_solve_peaks_below_two_hessians():
+    # the size and tolerance of the edesign benchmark workload: no frame holds
+    # an accepted point's result during a line search, and the work array and
+    # M die before the Hessian is factored, so one trial's evaluation is the peak
+    prob, barrier, x0 = build_edesign(random_design_matrix(200, 400, seed=0))
+    barrier.eval(x0)
+    hessian_bytes = 8.0 * barrier.dim**2
+    results = []
+    opts = SolverOptions(optim_tol=1e-8)
+    peak = traced_peak(lambda: results.append(solve(prob, barrier, x0, opts)))
+    assert results[0].status is SolverStatus.OPTIMAL
+    assert peak <= 1.9 * hessian_bytes

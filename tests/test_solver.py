@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -386,15 +387,19 @@ def test_proximity_evaluated_once_per_oracle_result(monkeypatch):
 
 
 def _corrector_failing_at(monkeypatch, call, error=None):
-    """Make the call-th corrector phase of the next solves raise error."""
+    """Make the call-th corrector phase of the next solves raise error.
+
+    As a real corrector does, the failing phase first takes the predictor
+    point's oracle result out of ``held``, so the solve goes on without it."""
     real = nsconic.solver._corrector
     count = [0]
 
-    def failing(*args):
+    def failing(prob, oracle, z, held, prox):
         count[0] += 1
         if count[0] == call:
+            nsconic.solver._take(held)
             raise error or LineSearchError("corrector step stalled")
-        return real(*args)
+        return real(prob, oracle, z, held, prox)
 
     monkeypatch.setattr(nsconic.solver, "_corrector", failing)
 
@@ -460,6 +465,77 @@ def test_singular_system_in_the_corrector_returns_the_last_recorded_iterate(
     assert res.iterations == len(res.history) == 3
     assert res.residual_norms["primal"] == res.history[-1].primal_norm
     assert res.residual_norms["mu"] == res.history[-1].mu
+
+
+def _lp_socp_solve(options):
+    # an LP block and a Lorentz block: the product's Hessian is a dense L
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((2, 5))
+    b = A @ np.concatenate([rng.uniform(1.0, 2.0, 2), [2.0, 0.3, -0.2]])
+    c = np.concatenate([rng.uniform(0.5, 1.0, 2), [1.0, 0.1, 0.1]])
+    return solve_cones(c, A, b, [ConeSpec("lp", 2), ConeSpec("socp", 3)], options=options)
+
+
+@pytest.mark.parametrize(
+    "case, status",
+    [
+        ("edesign", SolverStatus.OPTIMAL),
+        ("random_lp", SolverStatus.OPTIMAL),
+        ("lp-socp", SolverStatus.OPTIMAL),
+        ("max-iter-1", SolverStatus.ITERATION_LIMIT),
+        ("corrector-fails-at-a-certifying-point", SolverStatus.OPTIMAL),
+        ("corrector-failure-re-raised", SolverStatus.NUMERICAL_ERROR),
+        ("predictor-fails", SolverStatus.NUMERICAL_ERROR),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v.value,
+)
+def test_no_earlier_interior_result_is_alive_at_an_evaluation(
+    monkeypatch, case, status
+):
+    # at most one factored Hessian is alive: whenever the oracle evaluates a
+    # point, every interior result it returned before is unreachable, the
+    # accepted point's included once its Newton direction is formed; the
+    # failure paths end without reading a dropped result
+    opts = SolverOptions(optim_tol=1e-8, max_iter=1 if case == "max-iter-1" else 500)
+    if case == "corrector-fails-at-a-certifying-point":
+        clean = solve(lp_problem(), NonnegativeBarrier(2), options=opts)
+        _corrector_failing_at(monkeypatch, clean.iterations)
+    elif case == "corrector-failure-re-raised":
+        # one centering step cannot reach this neighborhood
+        monkeypatch.setattr(nsconic.solver, "ETA", 1e-12)
+        monkeypatch.setattr(nsconic.solver, "MAX_CORR_STEPS", 1)
+    elif case == "predictor-fails":
+        monkeypatch.setattr(nsconic.solver, "proximity", lambda *a: np.inf)
+    hessians, alive = [], []
+    real_eval = Barrier.eval
+
+    def tracked_eval(self, x):
+        alive.append(sum(h() is not None for h in hessians))
+        ev = real_eval(self, x)
+        if ev.in_interior:
+            hessians.append(weakref.ref(ev.hessian))
+        return ev
+
+    monkeypatch.setattr(Barrier, "eval", tracked_eval)
+    if case == "edesign":
+        prob, oracle, x0 = build_edesign(random_design_matrix(30, seed=0))
+        res = solve(prob, oracle, x0, opts)
+    elif case in ("random_lp", "max-iter-1"):
+        prob, x0 = random_lp(20, 50, 0)
+        res = solve(prob, NonnegativeBarrier(50), x0, opts)
+    elif case == "lp-socp":
+        res = _lp_socp_solve(opts)
+    else:
+        res = solve(lp_problem(), NonnegativeBarrier(2), options=opts)
+    assert res.status is status
+    if case == "corrector-fails-at-a-certifying-point":
+        assert res.iterations == clean.iterations
+        assert res.history[-1].corrector_steps == 0
+    elif case == "corrector-failure-re-raised":
+        assert "corrector failed to re-center" in res.status_string
+    elif case == "predictor-fails":
+        assert "predictor line search" in res.status_string
+    assert len(alive) > res.iterations and max(alive) == 0
 
 
 def test_lp_solves_never_densify_A(monkeypatch):
