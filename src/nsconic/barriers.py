@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .linalg import DenseHessian, DiagonalHessian, DimensionMismatch
-from .linalg import as_int, as_vector, try_chol
+from .linalg import as_int, as_real, as_vector, try_chol
 
 __all__ = [
     "BarrierEval",
@@ -332,7 +332,7 @@ class PullbackBarrier(Barrier):
     """
 
     def __init__(self, inner: Barrier, mat, initial_point=None):
-        mat = mat.toarray() if hasattr(mat, "toarray") else np.asarray(mat, float)
+        mat = as_real(mat.toarray() if hasattr(mat, "toarray") else mat, "map")
         if mat.ndim != 2 or mat.shape[0] != inner.dim:
             raise DimensionMismatch(
                 f"map has shape {mat.shape}, inner oracle dimension is {inner.dim}"

@@ -20,7 +20,7 @@ from scipy.linalg import blas, lapack
 
 from .barriers import Barrier, EXTERIOR
 from .hsd import ProblemData
-from .linalg import SparseMatrix, try_chol
+from .linalg import SparseMatrix, as_real, try_chol
 
 __all__ = [
     "EDesignBarrier",
@@ -63,7 +63,7 @@ class EDesignBarrier(Barrier):
     """
 
     def __init__(self, V):
-        V = np.asfortranarray(V, dtype=np.float64)
+        V = np.asfortranarray(as_real(V, "V"))
         if V.ndim != 2 or V.size == 0:
             raise ValueError("V must be a nonempty 2-D array")
         if not np.isfinite(V).all():

@@ -35,15 +35,15 @@ class DimensionMismatch(ValueError):
 def as_int(value, name: str, error: type[Exception] = ValueError) -> int:
     """A size or count given from outside, as an int.
 
-    Python and NumPy integers and integral floats are accepted. Bools,
-    fractional or non-finite floats and anything else raise ``error``, whose
-    message names ``name``.
+    Python and NumPy integers and integral floats within int64 are accepted.
+    Bools, fractional or non-finite floats, values past int64 and anything
+    else raise ``error``, whose message names ``name``.
     """
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise error(f"{name} must be an integer, got {value!r}")
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if integral or (isinstance(value, (float, np.floating)) and float(value).is_integer()):
+        if abs(int(value)) < 2**63:
+            return int(value)
+    raise error(f"{name} must be an integer within int64, got {value!r}")
 
 
 def as_real(v, name: str):
@@ -57,9 +57,11 @@ def as_real(v, name: str):
 
 def _as_indices(v, name: str) -> np.ndarray:
     """v as a 1-D int64 array. Integers and integral floats are accepted;
-    bools, fractions, non-finite floats and anything else raise ValueError
-    naming ``name`` instead of being cast, and an integral float past int64
-    raises DimensionMismatch."""
+    bools (also as elements of a list or tuple), fractions, non-finite floats
+    and anything else raise ValueError naming ``name`` instead of being cast,
+    and an integral float past int64 raises DimensionMismatch."""
+    if isinstance(v, (list, tuple)) and any(isinstance(e, (bool, np.bool_)) for e in v):
+        raise ValueError(f"{name} must hold integers (or integral floats), got a bool")
     a = np.atleast_1d(np.asarray(v))
     if a.dtype.kind in "iu":
         return a.astype(np.int64, copy=False)
@@ -239,25 +241,31 @@ def solve_lower_t(fac, rhs) -> np.ndarray:
 class DiagonalHessian:
     """H = diag(l**2) with factor L = diag(l), for separable barriers.
 
-    Solves and products are elementwise, and ``normal`` forms A H^{-1} A'
-    from A's sparse columns: from the index of entry pairs that share a
-    column, which A builds once, or, for an A with more such pairs than m**2,
-    from a sparse L^{-1} A'. Only ``L`` and ``toarray`` form an n x n array.
+    Solves and products scale the rows of their operand, a vector or a
+    matrix, and ``normal`` forms A H^{-1} A' from A's sparse columns: from the
+    index of entry pairs that share a column, which A builds once, or, for an
+    A with more such pairs than m**2, from a sparse L^{-1} A'. Only ``L`` and
+    ``toarray`` form an n x n array.
     """
 
     def __init__(self, l):
         self.l = np.asarray(l, dtype=np.float64)
 
+    def _rows(self, v):  # l, as a column for a matrix v, so it scales v's rows
+        return self.l if np.ndim(v) < 2 else self.l[:, None]
+
     def __matmul__(self, v) -> np.ndarray:
-        return (self.l * self.l) * v
+        l = self._rows(v)
+        return (l * l) * v
 
     def half_solve(self, v) -> np.ndarray:
         """L^{-1} v."""
-        return v / self.l
+        return v / self._rows(v)
 
     def solve(self, v) -> np.ndarray:
         """H^{-1} v."""
-        return v / self.l / self.l
+        l = self._rows(v)
+        return v / l / l
 
     @property
     def L(self) -> np.ndarray:

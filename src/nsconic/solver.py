@@ -2,25 +2,24 @@
 
 One iteration is a predictor step (aim at the solution, long line search
 inside a wide proximity ball) followed by damped corrector steps that pull
-the iterate back into a tight neighborhood of the central path. Both solve
-the Newton system for a right-hand side, then make the same move, written
-once in ``_step``: cap the step at the tau/kappa boundary, then try the
-steps that ``_trials`` generates until the trial point is interior and its
-proximity passes the caller's test. Each search is one geometric sequence
-down to 2^-59 of the cap. The corrector's starts at the cap and halves; the
-predictor's at the step a fitted proximity model predicts, however small,
-backtracking by a finer factor (see the step-rule constants below). The
-accepted point's oracle result and proximity are carried forward, and each
-iterate's residuals are computed once and shared by the status test, the
-predictor, the history record and the result.
+the iterate back into a tight neighborhood of the central path. They differ
+only in the Newton right-hand side, the acceptance test and the search's
+first step and factor; the step is written once in ``_step``: solve the
+Newton system, cap the step at the tau/kappa boundary, then try one
+geometric sequence of steps down to 2^-59 of the cap until the trial point
+is interior and its proximity passes the caller's test. The corrector's
+search starts at the cap and halves; the predictor's at the step a fitted
+proximity model predicts, however small, backtracking by a finer factor
+(see the step-rule constants below). The accepted point's proximity is
+carried forward, and each iterate's residuals are computed once and shared
+by the status test, the predictor, the history record and the result.
 
 Ownership: at most one factored Hessian is alive at a time, so when the
-oracle evaluates a point, no earlier interior result is reachable. A result
-is needed only until the Newton direction at its point is formed. ``solve``
-hands it on in a one-element list, ``held``, from which ``_predictor`` and
-``_corrector`` take it (``_take``) for their Newton solve, so no frame holds
-it while a line search evaluates trials; ``_step`` drops each rejected
-trial's result before the next.
+oracle evaluates a point, no earlier interior result is reachable. The
+iterate's oracle result lives in a one-element list, ``held``, and only
+``_step`` moves it: it takes the result out for the Newton solve, drops each
+rejected trial's result before the next trial and leaves the accepted one
+in ``held`` for the next step.
 
 When the corrector fails, the predictor point is recorded as the iterate and
 goes through the status test; the failure ends the solve only if that point
@@ -97,7 +96,7 @@ class LineSearchError(RuntimeError):
         self.trials = trials
 
 
-# Step-rule constants, read by ``_trials`` and ``_predictor_start``. ETA is
+# Step-rule constants, read by the steps and ``_predictor_start``. ETA is
 # the central-path proximity kept after correction and PRED_BETA the wider
 # ball the predictor may roam. Every search tries one geometric sequence of
 # steps and stops at the last one of at least MIN_STEP times the boundary
@@ -206,38 +205,40 @@ def _boundary_cap(z: Iterate, d: Direction) -> float:
     return alpha
 
 
-def _trials(cap, start):
-    """A line search's trial steps down to MIN_STEP * cap: a predictor's
-    (start > 0) from min(cap, start) by WARM_FACTOR, the corrector's (start
-    0.0) from cap by LS_FACTOR."""
-    pred = start > 0.0
-    alpha, factor = (min(cap, start), WARM_FACTOR) if pred else (cap, LS_FACTOR)
-    while alpha >= MIN_STEP * cap:
-        yield alpha
-        alpha *= factor
+def _take(held):
+    """The oracle result in the one-element list ``held``, leaving None there."""
+    ev, held[0] = held[0], None
+    return ev
 
 
-def _step(oracle, z, d, accept, failure, start, trials):
-    """The steps of ``_trials(cap, start)`` from z along the Newton direction d.
+def _step(prob, oracle, z, held, rhs, accept, failure, first, factor, trials):
+    """One Newton step from z for ``rhs``, backtracking into ``accept``.
 
-    Returns the first trial point that is interior with a positive gap and
-    whose proximity passes ``accept``, as (point, oracle result, step,
-    proximity, trials), where ``trials`` is the count passed in plus this
-    search's oracle calls. When every trial fails, raises LineSearchError
-    with the message ``failure`` and that count. It needs no oracle result
-    of z, and its callers hold none: while it evaluates a trial, no other
-    interior result is alive.
+    ``held`` holds z's oracle result; the Newton solve takes it out, so no
+    frame holds it while the search evaluates trials. The trial steps are
+    min(first, cap) * factor^k down to MIN_STEP * cap, where cap is the
+    ``_boundary_cap`` of the direction. Each rejected trial's result is
+    dropped before the next trial; the first trial that is interior with a
+    positive gap and whose proximity passes ``accept`` leaves its result in
+    ``held``. Returns (point, step, proximity, trials), where ``trials`` is
+    the count passed in plus this search's oracle calls. When every trial
+    fails, raises LineSearchError with the message ``failure`` and that
+    count.
     """
     nu = oracle.nu
-    for alpha in _trials(_boundary_cap(z, d), start):
+    d = newton_solve(prob, z, gap(z, nu), _take(held), rhs)
+    cap = _boundary_cap(z, d)
+    alpha = min(first, cap)
+    while alpha >= MIN_STEP * cap:
         trials += 1
         zt = z.step(d, alpha)
-        evt = None  # free a rejected trial's factor before the next one is built
-        evt = oracle.eval(zt.x)
-        if evt.in_interior and gap(zt, nu) > 0.0:
-            prox = proximity(zt, evt, nu)
+        held[0] = None  # free a rejected trial's factor before the next one is built
+        held[0] = oracle.eval(zt.x)
+        if held[0].in_interior and gap(zt, nu) > 0.0:
+            prox = proximity(zt, held[0], nu)
             if accept(prox):
-                return zt, evt, alpha, prox, trials
+                return zt, alpha, prox, trials
+        alpha *= factor
     raise LineSearchError(failure, trials)
 
 
@@ -247,47 +248,30 @@ def _predictor_start(fit, p0):
     return 2.0 * c / (c + np.sqrt(c * c + 4.0 * fit * c))
 
 
-def _take(held):
-    """The oracle result in the one-element list ``held``, leaving None there."""
-    ev, held[0] = held[0], None
-    return ev
-
-
 def _predictor(prob, oracle, z, held, res, start):
-    """Aim at the embedding solution, backtrack into the PRED_BETA ball.
-
-    ``held`` holds z's oracle result, which the Newton solve takes out, so
-    nothing holds it during the search. Returns ``_step``'s tuple."""
+    """Aim at the embedding solution, backtrack by WARM_FACTOR from ``start``
+    into the PRED_BETA ball. Returns ``_step``'s tuple."""
     rhs = NewtonRhs(*(-r for r in res), -z.s, -z.kappa)
-    d = newton_solve(prob, z, gap(z, oracle.nu), _take(held), rhs)
     failure = "predictor line search found no acceptable step"
-    return _step(oracle, z, d, lambda p: p <= PRED_BETA, failure, start, 0)
+    return _step(prob, oracle, z, held, rhs, lambda p: p <= PRED_BETA, failure,
+                 start, WARM_FACTOR, 0)
 
 
 def _corrector(prob, oracle, z, held, prox):
     """Damped centering steps until the iterate is back within ETA.
 
-    Returns (point, oracle result, proximity, steps, trials). Each step's
-    search (start 0.0) starts at the cap and halves. The predictor point's
-    oracle result comes in ``held`` and is taken out, and each step drops its
-    point's result once the direction is formed, so nothing holds it while
-    the search evaluates a trial."""
-    ev = _take(held)
+    Returns (point, proximity, steps, trials). Each step's search starts at
+    the cap and halves (LS_FACTOR)."""
     trials = 0
     for k in range(MAX_CORR_STEPS + 1):
         if prox <= ETA:
-            return z, ev, prox, k, trials
+            return z, prox, k, trials
         if k == MAX_CORR_STEPS:
             raise LineSearchError("corrector failed to re-center the iterate", trials)
-        mu = gap(z, oracle.nu)
-        psi_x, psi_k = centrality_residual(z, mu, ev.gradient)
+        psi_x, psi_k = centrality_residual(z, gap(z, oracle.nu), held[0].gradient)
         rhs = NewtonRhs(np.zeros(prob.m), np.zeros(prob.n), 0.0, -psi_x, -psi_k)
-        d = newton_solve(prob, z, mu, ev, rhs)
-        ev = None
-        failure = "corrector step stalled"
-        z, ev, _, prox, trials = _step(
-            oracle, z, d, lambda p: p < prox, failure, 0.0, trials
-        )
+        z, _, prox, trials = _step(prob, oracle, z, held, rhs, lambda p: p < prox,
+                                   "corrector step stalled", 1.0, LS_FACTOR, trials)
 
 
 def _classify(z, res, prob, eps):
@@ -391,7 +375,7 @@ def solve(
     """
     opts = options if options is not None else SolverOptions()
     t0 = time.perf_counter()
-    held = [None]  # the oracle result at z or zt, taken by the next Newton solve
+    held = [None]  # the oracle result at z or zt; only _step moves it
     z, held[0] = _start(prob, oracle, x0)
     nu = oracle.nu
     res = residuals(z, prob)
@@ -417,14 +401,10 @@ def solve(
             if it == opts.max_iter:
                 break
             p0, start = prox, _predictor_start(fit, prox)
-            zt, held[0], alpha, prox, ptrials = _predictor(
-                prob, oracle, z, held, res, start
-            )
+            zt, alpha, prox, ptrials = _predictor(prob, oracle, z, held, res, start)
             fit = max(prox - p0, 0.0) * (1.0 - alpha) / alpha**2
             try:
-                zt, held[0], prox, ncorr, ctrials = _corrector(
-                    prob, oracle, zt, held, prox
-                )
+                zt, prox, ncorr, ctrials = _corrector(prob, oracle, zt, held, prox)
             except LineSearchError as exc:
                 # centering can stall near the solution, where the predictor
                 # point may already certify: record that point and let the

@@ -514,6 +514,8 @@ def test_pullback_rejects_a_map_it_cannot_use():
         PullbackBarrier(NonnegativeBarrier(3), rank_one, initial_point=(1.0, 1.0))
     with pytest.raises(ValueError, match="non-finite"):
         PullbackBarrier(NonnegativeBarrier(2), np.array([[1.0, 0.0], [np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="map must be real"):
+        PullbackBarrier(NonnegativeBarrier(2), np.array([[1.0, 0.0], [1.0j, 1.0]]))
 
 
 @pytest.mark.parametrize(

@@ -45,7 +45,7 @@ def test_spec_validation_errors():
             ConeSpec("gpow", lam=bad)
     with pytest.raises(ConeSpecError):
         build_cones([])
-    for bad in (2.5, True, "2", np.bool_(True)):
+    for bad in (2.5, True, "2", np.bool_(True), 1e300, 2**70):
         with pytest.raises(ConeSpecError, match="dim"):
             ConeSpec("lp", bad)
 

@@ -55,6 +55,8 @@ def test_barrier_rejects_bad_design_matrix():
         EDesignBarrier(np.ones(4))
     with pytest.raises(ValueError):
         EDesignBarrier(np.array([[1.0, np.inf]]))
+    with pytest.raises(ValueError, match="V must be real"):
+        EDesignBarrier(np.array([[1.0, 2.0 + 1.0j]]))
 
 
 def test_barrier_homogeneity_identities():

@@ -228,7 +228,7 @@ def test_sparse_index_validation():
         SparseMatrix(-1, 2, [], [], [])
     with pytest.raises(DimensionMismatch, match="equally long"):
         SparseMatrix(2, 2, [0, 1], [0], [1.0])
-    for bad in (2.5, True, "2"):
+    for bad in (2.5, True, "2", 1e300, 2**70):
         with pytest.raises(DimensionMismatch, match="nrows must be an integer"):
             SparseMatrix(bad, 3, [0], [0], [1.0])
         with pytest.raises(DimensionMismatch, match="ncols must be an integer"):
@@ -237,6 +237,8 @@ def test_sparse_index_validation():
     for rows, cols, message in [
         ([0.7, 1.2], [0, 1], "rows must hold integers"),
         ([True], [1], "rows must hold integers"),
+        ([True, 1], [0, 1], "rows must hold integers"),
+        ([1.0, True], [0, 1], "rows must hold integers"),
         ([0], [np.nan], "cols must hold integers"),
     ]:
         with pytest.raises(ValueError, match=message):
@@ -393,6 +395,11 @@ def test_hessian_operations_agree_with_the_array(kind):
     np.testing.assert_allclose(hess @ v, H @ v, rtol=1e-12)
     np.testing.assert_allclose(hess.solve(v), np.linalg.solve(H, v), rtol=1e-10)
     np.testing.assert_allclose(hess.half_solve(v), np.linalg.solve(L, v), rtol=1e-10)
+    # a matrix operand is transformed column by column
+    for M in (rng.standard_normal((n, n)), rng.standard_normal((n, 2))):
+        np.testing.assert_allclose(hess @ M, H @ M, rtol=1e-12)
+        np.testing.assert_allclose(hess.solve(M), np.linalg.solve(H, M), rtol=1e-10)
+        np.testing.assert_allclose(hess.half_solve(M), np.linalg.solve(L, M), rtol=1e-10)
     dense = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.5)
     N = hess.normal(SparseMatrix.coerce(dense))
     assert type(N) is np.ndarray and N.shape == (m, m)

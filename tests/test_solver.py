@@ -643,7 +643,7 @@ def test_predictor_starts_near_its_last_step(monkeypatch, case):
 
     def predictor(*args):
         out = real_predictor(*args)
-        accepted.append(out[2:4])
+        accepted.append(out[1:3])
         return out
 
     monkeypatch.setattr(nsconic.solver, "_predictor", predictor)
@@ -754,7 +754,7 @@ def test_predictor_starts_at_the_fitted_root_after_a_tiny_step(monkeypatch):
 
     def predictor(*args):
         out = rejecting_predictor(*args)
-        accepted.append(out[2:4])
+        accepted.append(out[1:3])
         return out
 
     monkeypatch.setattr(nsconic.solver, "_predictor", predictor)

@@ -22,27 +22,10 @@ Seeds 0-40 take a few minutes, so this is not part of the test suite.
 from __future__ import annotations
 
 import dataclasses
-import os
 import sys
 import time
-from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "bench"))
-# leave no bytecode cache inside bench/
-sys.dont_write_bytecode, _saved = True, sys.dont_write_bytecode
-try:
-    from check import Checker
-    from workloads import cone_blocks
-finally:
-    sys.dont_write_bytecode = _saved
-
-from nsconic import ConeSpec, solve_cones  # noqa: E402
-from nsconic.solver import SolverOptions  # noqa: E402
+from _bench import bench_module, solve_instance
 
 
 def main(argv=None) -> int:
@@ -52,18 +35,17 @@ def main(argv=None) -> int:
         return 2
     first, last = int(args[0]), int(args[1])
     tol = float(args[2]) if len(args) == 3 else None
+    check, workloads = bench_module("check"), bench_module("workloads")
     passed = total = iters = calls = 0
     failed = []
     for seed in range(first, last + 1):
         # Checker caches references by instance name, and names repeat across seeds
-        checker = Checker()
-        for i, inst in enumerate(cone_blocks(seed)):
+        checker = check.Checker()
+        for i, inst in enumerate(workloads.cone_blocks(seed)):
             if tol is not None:
                 inst = dataclasses.replace(inst, optim_tol=tol)
-            cones = [ConeSpec(k, d, w) for k, d, w in inst.cones]
-            opts = SolverOptions(optim_tol=inst.optim_tol)
             t0 = time.perf_counter()
-            res = solve_cones(inst.c, inst.A, inst.b, cones, None, opts)
+            res = solve_instance(inst)
             dt = time.perf_counter() - t0
             errs = checker.check(inst, res.status.value, res.x, res.y, res.s)
             verdict = "ok" if not errs else "FAIL: " + "; ".join(errs)

@@ -21,15 +21,10 @@ as in ``bench/run.py``. The n = 400 solve takes a few seconds.
 
 from __future__ import annotations
 
-import os
 import sys
 import tracemalloc
-from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import _bench  # noqa: F401  (pins BLAS and puts src/ on sys.path)
 
 from nsconic import build_edesign, random_design_matrix, solve  # noqa: E402
 from nsconic.solver import SolverOptions  # noqa: E402

@@ -16,52 +16,35 @@ path) and ``random_lp(20, 50, s)`` for s = 0..4. Each solve adds its status
 and status string, its iteration count, every field of every
 ``IterationRecord``, tau, kappa, both objectives and the residual norms
 (floats as ``float.hex``), and the bytes of x, y and s. Instances come from
-``bench/workloads.py``, read only. The script uses no more of nsconic than
-``solve``, ``solve_cones``, ``build_edesign``, ``ConeSpec``,
-``NonnegativeBarrier``, ``generators.random_lp`` and
-``solver.SolverOptions``, so one copy of it runs on older checkouts too.
-BLAS is pinned to one thread, as in ``bench/run.py``.
+``bench/workloads.py``, read only, and are solved by ``_bench.solve_instance``.
+Beyond what ``_bench`` uses, the script calls only ``solve``,
+``NonnegativeBarrier`` and ``generators.random_lp`` of nsconic, so one copy
+of it runs on older checkouts too. BLAS is pinned to one thread, as in
+``bench/run.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
 import sys
-from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+from _bench import bench_module, solve_instance
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "bench"))
-# leave no bytecode cache inside bench/
-sys.dont_write_bytecode, _saved = True, sys.dont_write_bytecode
-try:
-    from workloads import cone_blocks, edesign, lp_sparse
-finally:
-    sys.dont_write_bytecode = _saved
+import numpy as np  # noqa: E402  (after _bench pins BLAS)
 
-import numpy as np  # noqa: E402
-
-from nsconic import ConeSpec, NonnegativeBarrier, build_edesign, solve, solve_cones  # noqa: E402
+from nsconic import NonnegativeBarrier, solve  # noqa: E402
 from nsconic.generators import random_lp  # noqa: E402
-from nsconic.solver import SolverOptions  # noqa: E402
 
 
 def _solves():
     """(name, result) for every hashed solve, in a fixed order."""
-    conic = [("lp_sparse", i) for i in lp_sparse(7)]
-    conic += [("cone_blocks", i) for i in cone_blocks(5)[:2]]
-    for family, inst in conic:
-        cones = [ConeSpec(k, d, w) for k, d, w in inst.cones]
-        opts = SolverOptions(optim_tol=inst.optim_tol)
-        yield f"{family}/{inst.name}", solve_cones(inst.c, inst.A, inst.b, cones, None, opts)
-    for inst in edesign(7)[:2]:
-        prob, barrier, x0 = build_edesign(inst.V)
-        yield f"edesign/{inst.name}", solve(prob, barrier, x0, SolverOptions(optim_tol=inst.optim_tol))
+    workloads = bench_module("workloads")
+    instances = [("lp_sparse", i) for i in workloads.lp_sparse(7)]
+    instances += [("cone_blocks", i) for i in workloads.cone_blocks(5)[:2]]
+    instances += [("edesign", i) for i in workloads.edesign(7)[:2]]
+    for family, inst in instances:
+        yield f"{family}/{inst.name}", solve_instance(inst)
     for s in range(5):
         prob, x_hat = random_lp(20, 50, s)
         yield f"random_lp/{s}", solve(prob, NonnegativeBarrier(prob.n), x_hat)
